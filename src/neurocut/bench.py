@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .circuits import (CircuitConfig, CutTrajectory, checkpoint_schedule,
-                       run_trajectory, trajectory_from_sampler)
+from .circuits import (CircuitConfig, checkpoint_trajectory, run_trajectory,
+                       trajectory_from_sampler)
 from .graphs import Graph, generate_erdos_renyi, load_graph
 from .oracles import ENUM_LIMIT, brute_force_maxcut, reference_hyperplane_rounds
 from .sdp import SolverConfig, solve_gw_sdp
@@ -37,11 +38,11 @@ _KNOWN_P = {0.1, 0.25, 0.5, 0.75}
 
 @dataclass
 class ExperimentConfig:
-    er_n: tuple = (20, 50, 100)
-    er_p: tuple = (0.1, 0.25, 0.5)
+    er_n: tuple[int, ...] = (20, 50, 100)
+    er_p: tuple[float, ...] = (0.1, 0.25, 0.5)
     er_graphs_per_cell: int = 5
-    graph_files: tuple = ()
-    methods: tuple = ("lif-gw", "lif-trevisan", "random")
+    graph_files: tuple[str, ...] = ()
+    methods: tuple[str, ...] = ("lif-gw", "lif-trevisan", "random")
     samples: int = 2 ** 16
     base_seed: int = 2022
     circuit: CircuitConfig = CircuitConfig()
@@ -202,11 +203,8 @@ def _solver_baseline(cfg: ExperimentConfig, graph_id: str, g: Graph, meta: dict)
     """Best-of-budget direct roundings of the relaxation; flat zero when m == 0."""
     seed = derive_seed(cfg.base_seed, graph_id, "solver-rounding")
     if g.m == 0:
-        traj = CutTrajectory(graph_id, "solver-rounding", seed)
-        for cp in checkpoint_schedule(cfg.samples):
-            traj.checkpoints.append((cp, 0))
-            traj.wall_times.append(0.0)
-        return traj, None
+        return checkpoint_trajectory(lambda count: 0, cfg.samples, "solver-rounding", seed,
+                                     graph_id), None
     sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
     solution = solve_gw_sdp(g, cfg.circuit.rank,
                             SolverConfig(tol=cfg.circuit.sdp_tol,
@@ -339,19 +337,47 @@ def write_summary_csv(summary: Summary, path) -> None:
 
 # --- flat key=value config files -------------------------------------------
 
-_LIST_KEYS = {"er_n", "er_p", "graph_files", "methods"}
-_INT_KEYS = {"er_graphs_per_cell", "samples", "base_seed", "jobs"}
-_BOOL_KEYS = {"custom_grid", "self_test"}
-_CIRCUIT_FLOAT_KEYS = {"alpha", "dt", "capacitance", "threshold", "gw_weight_scale",
-                       "trevisan_weight_scale", "eta0", "tau", "sdp_tol"}
-_CIRCUIT_INT_KEYS = {"epoch_steps", "rank", "sdp_max_iter"}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(f"bad boolean {text!r}")
+    return text.lower() in ("true", "1")
+
+
+def _value_parser(hint):
+    """text -> value for one field annotation.
+
+    tuple[T, ...] takes comma-separated items. An optional field (T | None)
+    reads empty text as None, as metadata.txt writes it, and 'none' too
+    unless T is str.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        item = _value_parser(args[0])
+        return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    if type(None) in args:
+        item = _value_parser(args[0])
+        unset = ("",) if args[0] is str else ("", "none")
+        return lambda text: None if text.lower() in unset else item(text)
+    return _parse_bool if hint is bool else hint
+
+
+def _key_parsers(cls, skip=()) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: _value_parser(hints[f.name]) for f in fields(cls) if f.name not in skip}
+
+
+# Every ExperimentConfig field but circuit, and every CircuitConfig field, is a key.
+_EXPERIMENT_KEYS = _key_parsers(ExperimentConfig, skip=("circuit",))
+_CIRCUIT_KEYS = _key_parsers(CircuitConfig)
 
 
 def parse_config_file(path) -> ExperimentConfig:
     """Build an ExperimentConfig from flat 'key = value' lines.
 
-    Lists are comma-separated; 'scale = desk|full' selects a preset before
-    other keys override it; unknown keys are input errors.
+    Keys are the field names of ExperimentConfig (except circuit) and of
+    CircuitConfig. Lists are comma-separated; 'scale = desk|full' selects a
+    preset before other keys override it; later lines win; unknown keys are
+    input errors.
     """
     entries = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -373,37 +399,18 @@ def parse_config_file(path) -> ExperimentConfig:
                 cfg = ExperimentConfig.full_scale()
             else:
                 raise ValueError(f"line {lineno}: unknown scale {value!r}")
-    circuit_kwargs: dict = {}
+    experiment: dict = {}
+    circuit: dict = {}
     for lineno, key, value in entries:
         try:
             if key == "scale":
                 continue
-            elif key in _LIST_KEYS:
-                parts = [v.strip() for v in value.split(",") if v.strip()]
-                if key == "er_n":
-                    cfg = replace(cfg, er_n=tuple(int(v) for v in parts))
-                elif key == "er_p":
-                    cfg = replace(cfg, er_p=tuple(float(v) for v in parts))
-                elif key == "methods":
-                    cfg = replace(cfg, methods=tuple(parts))
-                else:
-                    cfg = replace(cfg, graph_files=tuple(parts))
-            elif key in _INT_KEYS:
-                cfg = replace(cfg, **{key: int(value)})
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(f"bad boolean {value!r}")
-                cfg = replace(cfg, **{key: value.lower() in ("true", "1")})
-            elif key == "out_dir":
-                cfg = replace(cfg, out_dir=value or None)
-            elif key in _CIRCUIT_FLOAT_KEYS:
-                circuit_kwargs[key] = float(value)
-            elif key in _CIRCUIT_INT_KEYS:
-                circuit_kwargs[key] = None if value.lower() == "none" else int(value)
+            elif key in _EXPERIMENT_KEYS:
+                experiment[key] = _EXPERIMENT_KEYS[key](value)
+            elif key in _CIRCUIT_KEYS:
+                circuit[key] = _CIRCUIT_KEYS[key](value)
             else:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-    if circuit_kwargs:
-        cfg = replace(cfg, circuit=replace(cfg.circuit, **circuit_kwargs))
-    return cfg
+    return replace(cfg, **experiment, circuit=replace(cfg.circuit, **circuit))

@@ -44,10 +44,6 @@ class CircuitConfig:
     sdp_tol: float = 1e-6
     sdp_max_iter: int | None = None
 
-    @property
-    def resistance(self) -> float:
-        return self.dt / (self.capacitance * self.alpha)
-
 
 class GwCircuit:
     """Rounding sampler: device pool -> LIF population with relaxation rows as weights.
@@ -69,10 +65,8 @@ class GwCircuit:
         self.config = config
         self.seed = int(seed)
         self.pool = DevicePool(solution.rank, seed=seed)
-        self.pop = LifPopulation(
-            config.gw_weight_scale * solution.vectors,
-            R=config.resistance, C=config.capacitance, dt=config.dt,
-            threshold=config.threshold)
+        self.pop = LifPopulation(config.gw_weight_scale * solution.vectors,
+                                 alpha=config.alpha, C=config.capacitance, dt=config.dt)
         k = config.epoch_steps
         q = 1.0 - self.pop.alpha
         # closed-form weight of draw j in the end-of-epoch membrane, j = 0..k-1
@@ -94,11 +88,7 @@ class GwCircuit:
     def sample_cuts(self, count: int) -> np.ndarray:
         """(count, n) array of ±1 labels, one independent epoch per row."""
         v = self.epoch_membranes(count)
-        return np.where(v > self.pop.threshold, 1, -1).astype(np.int8)
-
-    def sample_cut(self) -> np.ndarray:
-        """One epoch: reset, integrate epoch_steps draws, read the signs."""
-        return self.sample_cuts(1)[0]
+        return np.where(v > self.config.threshold, 1, -1).astype(np.int8)
 
 
 class TrevisanCircuit:
@@ -117,10 +107,8 @@ class TrevisanCircuit:
         self.seed = int(seed)
         tm = trevisan_matrix(graph)
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
-        self.pop = LifPopulation(
-            config.trevisan_weight_scale * tm.matrix,
-            R=config.resistance, C=config.capacitance, dt=config.dt,
-            threshold=config.threshold)
+        self.pop = LifPopulation(config.trevisan_weight_scale * tm.matrix,
+                                 alpha=config.alpha, C=config.capacitance, dt=config.dt)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         scale = 1.0 / (config.trevisan_weight_scale * np.sqrt(self.pop.kappa))
         self.oja = OjaState.spherical_init(
@@ -179,27 +167,39 @@ def checkpoint_schedule(total_samples: int) -> list:
     return [1 << k for k in range(total_samples.bit_length()) if (1 << k) <= total_samples]
 
 
-def trajectory_from_sampler(graph: Graph, sampler, total_samples: int, method: str,
-                            seed: int, graph_id: str = "") -> CutTrajectory:
-    """Drive any batch sampler of ±1 label rows through the checkpoint schedule.
+def checkpoint_trajectory(best_of, total_samples: int, method: str, seed: int,
+                          graph_id: str = "", t0: float | None = None) -> CutTrajectory:
+    """Record the best cut so far at each checkpoint of the sample budget.
 
-    sampler(b) must return a (b, n) array of labels; samples beyond the last
-    power of two are not drawn.
+    best_of(count) returns the best cut over the next count samples. Wall
+    times count from t0, or from this call when t0 is None.
     """
-    t0 = time.perf_counter()
+    if t0 is None:
+        t0 = time.perf_counter()
     traj = CutTrajectory(graph_id, method, int(seed))
     best = -1
     done = 0
     for cp in checkpoint_schedule(total_samples):
-        while done < cp:
-            b = min(_BATCH, cp - done)
-            vals = cut_values(graph, sampler(b))
-            if vals.size:
-                best = max(best, int(vals.max()))
-            done += b
+        best = max(best, best_of(cp - done))
+        done = cp
         traj.checkpoints.append((cp, best))
         traj.wall_times.append(time.perf_counter() - t0)
     return traj
+
+
+def trajectory_from_sampler(graph: Graph, sampler, total_samples: int, method: str,
+                            seed: int, graph_id: str = "") -> CutTrajectory:
+    """Drive any batch sampler of ±1 label rows through the checkpoint schedule.
+
+    sampler(b) must return a (b, n) array of labels. Samples are scored in
+    batches of at most _BATCH rows, and none beyond the last power of two is
+    drawn.
+    """
+    def best_of(count):
+        return max(int(cut_values(graph, sampler(min(_BATCH, count - done))).max())
+                   for done in range(0, count, _BATCH))
+
+    return checkpoint_trajectory(best_of, total_samples, method, seed, graph_id)
 
 
 def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
@@ -234,15 +234,11 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     if method == "trevisan":
         t0 = time.perf_counter()
         circuit = TrevisanCircuit(graph, seed, config)
-        traj = CutTrajectory(graph_id, "trevisan", int(seed))
-        best = -1
-        done = 0
-        for cp in checkpoint_schedule(total_samples):
-            circuit.run_steps(cp - done)
-            done = cp
-            best = max(best, cut_value(graph, circuit.read_cut()))
-            traj.checkpoints.append((cp, best))
-            traj.wall_times.append(time.perf_counter() - t0)
-        return traj
+
+        def best_of(count):
+            circuit.run_steps(count)
+            return cut_value(graph, circuit.read_cut())
+
+        return checkpoint_trajectory(best_of, total_samples, "trevisan", seed, graph_id, t0)
 
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

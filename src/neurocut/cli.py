@@ -16,10 +16,14 @@ from .circuits import CircuitConfig, run_trajectory
 from .graphs import generate_erdos_renyi, load_graph, save_graph
 from .oracles import brute_force_maxcut, spectral_cut
 from .plasticity import NumericalDivergenceError
-from .sdp import SolverConfig, save_solution, solve_gw_sdp
+from .sdp import SolverConfig, format_solution, solve_gw_sdp
 from .seeding import RNG_ALGORITHM
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2
+
+# flag defaults come from the config dataclasses, so the two cannot drift apart
+_CIRCUIT = CircuitConfig()
+_SOLVER = SolverConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-sdp", help="solve the low-rank cut relaxation")
     _graph_args(p)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--rank", type=int, default=_CIRCUIT.rank)
+    p.add_argument("--tol", type=float, default=_SOLVER.tol)
+    p.add_argument("--max-iter", type=int, default=_SOLVER.max_iter)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default stdout)")
 
@@ -57,11 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["gw", "trevisan", "random"], required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--epoch-steps", type=int, default=100)
-    p.add_argument("--eta0", type=float, default=5e-3)
-    p.add_argument("--tau", type=float, default=1e5)
+    p.add_argument("--rank", type=int, default=_CIRCUIT.rank)
+    p.add_argument("--alpha", type=float, default=_CIRCUIT.alpha)
+    p.add_argument("--epoch-steps", type=int, default=_CIRCUIT.epoch_steps)
+    p.add_argument("--eta0", type=float, default=_CIRCUIT.eta0)
+    p.add_argument("--tau", type=float, default=_CIRCUIT.tau)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("exact", help="exact optimum by enumeration (small graphs)")
@@ -86,9 +90,7 @@ def _graph_args(p) -> None:
 
 
 def _load(args):
-    from .graphs import IngestOptions
-    opts = IngestOptions(indexing="zero" if args.zero_indexed else "one")
-    return load_graph(args.graph, args.graph_format, opts)
+    return load_graph(args.graph, args.graph_format, args.zero_indexed)
 
 
 def _emit(args, text: str) -> None:
@@ -120,19 +122,14 @@ def cmd_solve_sdp(args) -> int:
     if not sol.converged:
         print(f"warning: not converged (grad_norm={sol.grad_norm:.3e} "
               f"after {sol.iterations} iterations)", file=sys.stderr)
-    if args.out:
-        save_solution(sol, args.out)
-    else:
-        lines = [f"{sol.n} {sol.rank} {sol.objective:.17g}"]
-        lines += [" ".join(f"{x:.17g}" for x in row) for row in sol.vectors]
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, format_solution(sol))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     g = _load(args)
-    circuit = replace(CircuitConfig(), alpha=args.alpha, epoch_steps=args.epoch_steps,
-                      eta0=args.eta0, tau=args.tau, rank=args.rank)
+    circuit = CircuitConfig(alpha=args.alpha, epoch_steps=args.epoch_steps,
+                            eta0=args.eta0, tau=args.tau, rank=args.rank)
     traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
                           graph_id=args.graph)
     lines = [f"# method={args.method} seed={args.seed} samples={args.samples}"]

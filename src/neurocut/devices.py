@@ -1,4 +1,4 @@
-"""Pools of two-state stochastic devices: seeded, independent, optionally biased."""
+"""Pools of fair two-state stochastic devices: seeded and independent."""
 
 from __future__ import annotations
 
@@ -6,27 +6,18 @@ import numpy as np
 
 
 class DevicePool:
-    """count independent two-state devices, redrawn on every timestep.
+    """count independent fair ±1 devices, redrawn on every timestep.
 
-    encoding 'centered' yields ±1 states (the circuit-facing default),
-    'raw' yields 0/1. The stream is a pure function of the seed and the
-    number of states drawn so far, so a pool advanced k steps and a fresh
-    pool fast-forwarded k steps produce the same next draw.
+    The stream is a pure function of the seed and the number of states drawn
+    so far, so a pool advanced k steps and a fresh pool fast-forwarded k steps
+    produce the same next draw.
     """
 
-    def __init__(self, count: int, bias=0.5, seed: int = 0, encoding: str = "centered"):
+    def __init__(self, count: int, seed: int = 0):
         if count < 1:
             raise ValueError("a pool needs at least one device")
-        if encoding not in ("centered", "raw"):
-            raise ValueError(f"unknown encoding {encoding!r}")
-        bias = np.broadcast_to(np.asarray(bias, dtype=float), (count,)).copy()
-        if bias.min() < 0.0 or bias.max() > 1.0:
-            raise ValueError("bias outside [0, 1]")
-        bias.setflags(write=False)
         self.count = int(count)
-        self.bias = bias
         self.seed = int(seed)
-        self.encoding = encoding
         self._rng = np.random.default_rng(seed)
 
     def sample_step(self) -> np.ndarray:
@@ -34,21 +25,11 @@ class DevicePool:
         return self.sample_steps(1)[0]
 
     def sample_steps(self, steps: int) -> np.ndarray:
-        """(steps, count) float array; row k equals the k-th sequential draw."""
+        """(steps, count) float array of ±1; row k equals the k-th sequential draw."""
         if steps < 1:
             raise ValueError("steps must be positive")
-        raw = self._rng.random((steps, self.count)) < self.bias
-        if self.encoding == "raw":
-            return raw.astype(np.float64)
-        return 2.0 * raw - 1.0
+        return 2.0 * (self._rng.random((steps, self.count)) < 0.5) - 1.0
 
     def covariance(self) -> np.ndarray:
-        """Analytic single-step covariance: diagonal, devices are independent.
-
-        Per-device variance is bias*(1-bias), scaled by 4 under the centered
-        ±1 encoding.
-        """
-        var = self.bias * (1.0 - self.bias)
-        if self.encoding == "centered":
-            var = 4.0 * var
-        return np.diag(var)
+        """Analytic single-step covariance: independent fair ±1 devices have unit variance."""
+        return np.eye(self.count)

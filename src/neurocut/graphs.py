@@ -100,14 +100,6 @@ def cut_values(g: Graph, labels) -> np.ndarray:
     return diff.sum(axis=1, dtype=np.int64)
 
 
-def random_cut(n: int, seed: int) -> np.ndarray:
-    """Uniform ±1 label vector of length n; deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    return (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-
-
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 vertex pairs is an edge with probability p."""
     if n < 1:
@@ -139,32 +131,23 @@ def trevisan_matrix(g: Graph) -> TrevisanMatrix:
     return TrevisanMatrix(mat, isolated)
 
 
-@dataclass(frozen=True)
-class IngestOptions:
-    """Edge-list ingestion knobs. indexing: 'one' (ids start at 1) or 'zero'."""
-
-    indexing: str = "one"
-
-
-def load_graph(path, fmt: str = "auto", options: IngestOptions | None = None) -> Graph:
+def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
     """Load an undirected graph from an edge-list or Matrix Market file.
 
     Self-loops are dropped, duplicate and reversed edges merge, and weights are
     binarized (zero weight means no edge). Edge lists carry no vertex count, so
     ids are remapped to 0..n-1 in first-appearance order; Matrix Market files
-    declare the size and keep isolated vertices. fmt='auto' picks matrix-market
-    for a .mtx suffix and edge-list otherwise.
+    declare the size and keep isolated vertices. Edge-list ids start at 1, or at
+    0 with zero_indexed. fmt='auto' picks matrix-market for a .mtx suffix and
+    edge-list otherwise.
     """
-    options = options or IngestOptions()
-    if options.indexing not in ("one", "zero"):
-        raise ValueError(f"unknown indexing {options.indexing!r}")
     path = os.fspath(path)
     if fmt == "auto":
         fmt = "matrix-market" if path.endswith(".mtx") else "edge-list"
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if fmt == "edge-list":
-        return _parse_edge_list(lines, options)
+        return _parse_edge_list(lines, 0 if zero_indexed else 1)
     if fmt == "matrix-market":
         return _parse_matrix_market(lines)
     raise ValueError(f"unknown graph format {fmt!r}")
@@ -188,8 +171,7 @@ def _split_entry(raw: str, lineno: int):
     return u, v, w
 
 
-def _parse_edge_list(lines, options: IngestOptions) -> Graph:
-    base = 1 if options.indexing == "one" else 0
+def _parse_edge_list(lines, base: int) -> Graph:
     order: dict[int, int] = {}
     edges = set()
     saw_data = False

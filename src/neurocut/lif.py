@@ -11,26 +11,23 @@ class LifPopulation:
 
     Forward-Euler membrane update per step:
 
-        V <- (1 - alpha) V + (dt / C) (W s),   alpha = dt / (R C),
+        V <- (1 - alpha) V + (dt / C) (W s),
 
-    with no spiking: circuits read the membrane sign against a threshold.
+    with alpha = dt / (R C) the leak per step. There is no spiking:
+    circuits read the membrane signs.
     """
 
-    def __init__(self, weights, R: float = 20.0, C: float = 1.0, dt: float = 1.0,
-                 threshold: float = 0.0):
+    def __init__(self, weights, alpha: float = 0.05, C: float = 1.0, dt: float = 1.0):
         w = np.array(weights, dtype=float)
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array (units x devices)")
         w.setflags(write=False)
-        alpha = dt / (R * C)
         if not 0.0 < alpha < 1.0:
-            raise ValueError(f"leak factor dt/(R*C) = {alpha} outside (0, 1); the Euler chain would not be stable")
+            raise ValueError(f"leak factor alpha = {alpha} outside (0, 1); the Euler chain would not be stable")
         self.weights = w
         self.n, self.r = w.shape
-        self.R = float(R)
         self.C = float(C)
         self.dt = float(dt)
-        self.threshold = float(threshold)
         self.alpha = float(alpha)
         self.V = np.zeros(self.n)
 
@@ -77,7 +74,3 @@ class LifPopulation:
         if cov.size and float(np.max(np.abs(cov - cov.T))) > 1e-10:
             raise ValueError("device covariance is not symmetric")
         return self.kappa * (self.weights @ cov @ self.weights.T)
-
-    def read_signs(self) -> np.ndarray:
-        """±1 labels: +1 strictly above threshold, ties and below go to -1."""
-        return np.where(self.V > self.threshold, 1, -1).astype(np.int8)

@@ -112,7 +112,3 @@ def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -
     gauss = rng.standard_normal((count, w.shape[1]))
     return np.where(gauss @ w.T > 0, 1, -1).astype(np.int8)
 
-
-def reference_hyperplane_round(vectors, seed: int) -> np.ndarray:
-    """One seeded hyperplane rounding of unit-vector rows into ±1 labels."""
-    return reference_hyperplane_rounds(vectors, 1, np.random.default_rng(seed))[0]

@@ -1,4 +1,4 @@
-"""Hebbian-family update rules and the anti-Hebbian minimum-eigenvector learner."""
+"""The anti-Hebbian minimum-eigenvector learner."""
 
 from __future__ import annotations
 
@@ -9,23 +9,6 @@ import numpy as np
 
 class NumericalDivergenceError(RuntimeError):
     """The learned weight vector left the finite range; restart with a smaller eta0."""
-
-
-def hebbian_update(w, x, eta: float) -> np.ndarray:
-    """Plain Hebbian step w + eta*y*x with y = w.x. Norm grows without bound."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = w @ x
-    return w + (eta * y) * x
-
-
-def oja_update(w, x, eta: float) -> np.ndarray:
-    """Oja's norm-stabilized step w + eta*y*(x - y*w); converges to the top
-    covariance eigenvector for suitable eta."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = w @ x
-    return w + eta * y * (x - y * w)
 
 
 class OjaState:

@@ -124,16 +124,20 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     return SdpSolution(w, r, f, grad_norm, iterations, grad_norm <= cfg.tol, history)
 
 
-def save_solution(solution: SdpSolution, path) -> None:
-    """Plain-text dump: header line 'n r objective', then one vector row per vertex.
+def format_solution(solution: SdpSolution) -> str:
+    """Plain text: header line 'n r objective', then one vector row per vertex.
 
     Values use 17 significant digits, enough for an exact float64 round trip.
     """
     lines = [f"{solution.n} {solution.rank} {solution.objective:.17g}"]
-    for row in solution.vectors:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    lines += [" ".join(f"{x:.17g}" for x in row) for row in solution.vectors]
+    return "\n".join(lines) + "\n"
+
+
+def save_solution(solution: SdpSolution, path) -> None:
+    """Write format_solution(solution) to path."""
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_solution(solution))
 
 
 def load_solution(path) -> SdpSolution:

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -242,6 +242,46 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     p.write_text("self_test = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
+    # 'none' is only a value of optional fields such as sdp_max_iter
+    p.write_text("samples = 64\nepoch_steps = none\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2"):
+        parse_config_file(p)
+    p.write_text("rank = none\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1"):
+        parse_config_file(p)
+
+
+# a non-default value for every config key; a new config field needs one here
+_EVERY_KEY = {
+    "er_n": (20, 350), "er_p": (0.25, 0.75), "er_graphs_per_cell": 3,
+    "graph_files": ("a.mtx", "b.txt"), "methods": ("random", "solver-rounding"),
+    "samples": 4096, "base_seed": 99, "out_dir": "results", "jobs": 2,
+    "custom_grid": True, "self_test": True,
+    "alpha": 0.08, "dt": 0.5, "capacitance": 2.0, "threshold": 0.01, "epoch_steps": 60,
+    "gw_weight_scale": 1.5, "trevisan_weight_scale": 0.75, "eta0": 0.004, "tau": 3000.0,
+    "rank": 3, "sdp_tol": 1e-05, "sdp_max_iter": 1500,
+}
+
+
+def test_parse_config_sets_every_field(tmp_path):
+    top = [f.name for f in fields(ExperimentConfig) if f.name != "circuit"]
+    circuit = [f.name for f in fields(CircuitConfig)]
+    assert sorted(top + circuit) == sorted(_EVERY_KEY)
+    expected = ExperimentConfig(circuit=CircuitConfig(**{k: _EVERY_KEY[k] for k in circuit}),
+                                **{k: _EVERY_KEY[k] for k in top})
+    for cfg, default, names in ((expected, ExperimentConfig(), top),
+                                (expected.circuit, CircuitConfig(), circuit)):
+        for name in names:
+            assert getattr(cfg, name) != getattr(default, name), name
+
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(str(v) for v in value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    p = tmp_path / "every.cfg"
+    p.write_text("".join(f"{k} = {text(v)}\n" for k, v in _EVERY_KEY.items()), encoding="utf-8")
+    assert parse_config_file(p) == expected
 
 
 def test_scale_presets():

@@ -25,12 +25,6 @@ from neurocut import (
 from neurocut.circuits import CutTrajectory
 
 
-def test_config_resistance_inverts_alpha():
-    cfg = CircuitConfig()
-    assert cfg.resistance == pytest.approx(20.0)
-    assert CircuitConfig(alpha=0.1, dt=0.5, capacitance=2.0).resistance == pytest.approx(2.5)
-
-
 # --- GW circuit -------------------------------------------------------------
 
 def test_gw_k2_always_cuts(k2):
@@ -65,7 +59,7 @@ def test_gw_epoch_matches_explicit_step_loop(c4):
     membranes = circ.epoch_membranes(3)
     # replay: same device stream through the step recurrence, reset per epoch
     pool = DevicePool(sol.rank, seed=7)
-    pop = LifPopulation(sol.vectors, R=cfg.resistance, C=cfg.capacitance, dt=cfg.dt)
+    pop = LifPopulation(sol.vectors, alpha=cfg.alpha, C=cfg.capacitance, dt=cfg.dt)
     for epoch in range(3):
         pop.reset()
         for s in pool.sample_steps(cfg.epoch_steps):
@@ -78,7 +72,7 @@ def test_gw_samples_are_stream_split_invariant(c4):
     a = GwCircuit(c4, sol, seed=5)
     b = GwCircuit(c4, sol, seed=5)
     batch = a.sample_cuts(8)
-    singles = np.array([b.sample_cut() for _ in range(8)])
+    singles = np.array([b.sample_cuts(1)[0] for _ in range(8)])
     assert np.array_equal(batch, singles)
 
 
@@ -88,6 +82,13 @@ def test_gw_sign_stats_invariant_to_weight_scale(k3):
     a = GwCircuit(k3, sol, seed=3, config=CircuitConfig(gw_weight_scale=0.5))
     b = GwCircuit(k3, sol, seed=3, config=CircuitConfig(gw_weight_scale=2.0))
     assert np.array_equal(a.sample_cuts(2000), b.sample_cuts(2000))
+
+
+def test_gw_reads_threshold_from_config(c4):
+    # no membrane clears a huge threshold, so every vertex reads -1
+    sol = solve_gw_sdp(c4)
+    circ = GwCircuit(c4, sol, seed=1, config=CircuitConfig(threshold=1e9))
+    assert np.all(circ.sample_cuts(16) == -1)
 
 
 def test_gw_validates_solution_size(k3, c4):

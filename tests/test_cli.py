@@ -169,6 +169,8 @@ def test_bench_missing_config_exits_1(tmp_path):
 
 def test_bench_bad_config_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frobs = 3\n", encoding="utf-8")
-    assert main(["bench", "--config", str(cfg)]) == 1
-    assert "line 1" in capsys.readouterr().err
+    # an unknown key, and 'none' for a field that is not optional
+    for text, line in (("frobs = 3\n", 1), ("samples = 8\nepoch_steps = none\n", 2)):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert f"error: line {line}" in capsys.readouterr().err

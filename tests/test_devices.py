@@ -13,12 +13,6 @@ def test_centered_states_are_pm_one():
     assert set(np.unique(s)) <= {-1.0, 1.0}
 
 
-def test_raw_states_are_zero_one():
-    pool = DevicePool(5, seed=1, encoding="raw")
-    s = pool.sample_steps(100)
-    assert set(np.unique(s)) <= {0.0, 1.0}
-
-
 def test_stream_split_invariance():
     # batched draws equal the same draws taken one step at a time
     a = DevicePool(7, seed=42)
@@ -46,22 +40,8 @@ def test_fair_coin_frequency():
     assert np.all(np.abs(freq - 0.5) < 4 * se)
 
 
-def test_biased_devices():
-    pool = DevicePool(3, bias=[0.1, 0.5, 0.9], seed=5, encoding="raw")
-    freq = pool.sample_steps(20000).mean(axis=0)
-    assert np.allclose(freq, [0.1, 0.5, 0.9], atol=0.02)
-
-
-def test_covariance_centered_and_raw():
-    pool = DevicePool(3, bias=[0.1, 0.5, 0.9], seed=0)
-    cov = pool.covariance()
-    assert np.allclose(cov, np.diag(4 * np.array([0.09, 0.25, 0.09])))
-    raw = DevicePool(3, bias=[0.1, 0.5, 0.9], seed=0, encoding="raw")
-    assert np.allclose(raw.covariance(), np.diag([0.09, 0.25, 0.09]))
-
-
 def test_empirical_covariance_matches_analytic():
-    pool = DevicePool(4, bias=[0.2, 0.5, 0.5, 0.8], seed=17)
+    pool = DevicePool(4, seed=17)
     s = pool.sample_steps(40000)
     emp = np.cov(s.T, bias=True)
     assert np.max(np.abs(emp - pool.covariance())) < 0.02
@@ -70,12 +50,6 @@ def test_empirical_covariance_matches_analytic():
 def test_validation():
     with pytest.raises(ValueError):
         DevicePool(0)
-    with pytest.raises(ValueError):
-        DevicePool(2, bias=1.5)
-    with pytest.raises(ValueError):
-        DevicePool(2, bias=-0.1)
-    with pytest.raises(ValueError):
-        DevicePool(2, encoding="ternary")
     with pytest.raises(ValueError):
         DevicePool(2).sample_steps(0)
 

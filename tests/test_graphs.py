@@ -7,19 +7,15 @@ from hypothesis import strategies as st
 
 from neurocut import (
     Graph,
-    IngestOptions,
     ParseError,
     cut_value,
     cut_values,
     generate_erdos_renyi,
     load_graph,
-    random_cut,
     save_graph,
     trevisan_matrix,
 )
 from neurocut.oracles import symmetric_eigen
-
-from conftest import assert_pm_one
 
 
 # --- construction -----------------------------------------------------------
@@ -63,6 +59,10 @@ def test_graph_equality_and_hash(k3):
 
 # --- cut scoring ------------------------------------------------------------
 
+def random_labels(n, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+
+
 def test_cut_value_counts_disagreeing_edges(c4):
     assert cut_value(c4, [1, -1, 1, -1]) == 4
     assert cut_value(c4, [1, 1, -1, -1]) == 2
@@ -84,7 +84,7 @@ def test_cut_values_matches_scalar(k3):
 @settings(max_examples=60, deadline=None)
 def test_cut_flip_symmetry(n, gseed, cseed):
     g = generate_erdos_renyi(n, 0.5, gseed)
-    v = random_cut(n, cseed)
+    v = random_labels(n, cseed)
     assert cut_value(g, v) == cut_value(g, -v)
 
 
@@ -93,15 +93,9 @@ def test_cut_flip_symmetry(n, gseed, cseed):
 def test_cut_quarter_form_identity(n, gseed, cseed):
     # edge disagreement count equals (1/4) sum_ij A_ij (1 - v_i v_j)
     g = generate_erdos_renyi(n, 0.5, gseed)
-    v = random_cut(n, cseed).astype(float)
+    v = random_labels(n, cseed).astype(float)
     quad = 0.25 * float(np.sum(g.adjacency * (1.0 - np.outer(v, v))))
     assert cut_value(g, v) == pytest.approx(quad, abs=1e-9)
-
-
-def test_random_cut_deterministic():
-    assert_pm_one(random_cut(8, 5), 8)
-    assert np.array_equal(random_cut(8, 5), random_cut(8, 5))
-    assert not np.array_equal(random_cut(64, 5), random_cut(64, 6))
 
 
 # --- generators -------------------------------------------------------------
@@ -190,7 +184,7 @@ def test_edge_list_indexing_option(tmp_edge_list):
     path = tmp_edge_list(["0 1", "1 2"])
     with pytest.raises(ParseError):
         load_graph(path)  # one-indexed by default: id 0 is below base
-    g = load_graph(path, options=IngestOptions(indexing="zero"))
+    g = load_graph(path, zero_indexed=True)
     assert (g.n, g.m) == (3, 2)
 
 
@@ -210,12 +204,6 @@ def test_edge_list_empty_file_rejected(tmp_edge_list):
     path = tmp_edge_list(["# nothing here"])
     with pytest.raises(ValueError):
         load_graph(path)
-
-
-def test_bad_indexing_option(tmp_edge_list):
-    path = tmp_edge_list(["1 2"])
-    with pytest.raises(ValueError):
-        load_graph(path, options=IngestOptions(indexing="two"))
 
 
 # --- matrix market ingestion ------------------------------------------------

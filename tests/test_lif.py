@@ -18,7 +18,7 @@ def test_defaults_give_alpha_005():
 
 
 def test_step_recurrence_by_hand():
-    pop = LifPopulation(np.array([[2.0]]), R=20.0)
+    pop = LifPopulation(np.array([[2.0]]), alpha=0.05)
     v1 = pop.step(np.array([1.0]))[0]
     assert v1 == pytest.approx(2.0)  # 0.95*0 + 1*2*1
     v2 = pop.step(np.array([-1.0]))[0]
@@ -35,9 +35,9 @@ def test_step_validates_shape():
 
 def test_unstable_constants_rejected():
     with pytest.raises(ValueError):
-        LifPopulation(np.ones((2, 2)), R=0.5, C=1.0, dt=1.0)  # alpha = 2
+        LifPopulation(np.ones((2, 2)), alpha=2.0)
     with pytest.raises(ValueError):
-        LifPopulation(np.ones((2, 2)), R=1.0, C=1.0, dt=1.0)  # alpha = 1
+        LifPopulation(np.ones((2, 2)), alpha=1.0)
     with pytest.raises(ValueError):
         LifPopulation(np.ones(4))  # not a matrix
 
@@ -82,15 +82,6 @@ def test_empirical_variance_approaches_kappa():
     states = DevicePool(1, seed=3).sample_steps(120000)
     v = pop.simulate(states)[200:, 0]
     assert np.var(v) == pytest.approx(pop.kappa, rel=0.05)
-
-
-def test_read_signs_threshold_and_ties():
-    pop = LifPopulation(np.eye(3), threshold=0.0)
-    pop.V[:] = [0.5, -0.2, 0.0]
-    assert pop.read_signs().tolist() == [1, -1, -1]  # tie at threshold goes -1
-    pop2 = LifPopulation(np.eye(3), threshold=0.4)
-    pop2.V[:] = [0.5, -0.2, 0.0]
-    assert pop2.read_signs().tolist() == [1, -1, -1]
 
 
 def test_membrane_scale_invariance_of_signs():

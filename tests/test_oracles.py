@@ -10,7 +10,6 @@ from neurocut import (
     brute_force_maxcut,
     cut_value,
     generate_erdos_renyi,
-    reference_hyperplane_round,
     reference_hyperplane_rounds,
     spectral_cut,
     symmetric_eigen,
@@ -195,16 +194,6 @@ def test_round_frequency_matches_arccos_law():
     f = np.mean(rounds[:, 0] != rounds[:, 1])
     se = np.sqrt((2.0 / 3.0) * (1.0 / 3.0) / 60000)
     assert abs(f - 2.0 / 3.0) < 3 * se
-
-
-def test_single_round_seed_determinism():
-    vecs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    a = reference_hyperplane_round(vecs, 11)
-    b = reference_hyperplane_round(vecs, 11)
-    assert np.array_equal(a, b)
-    assert_pm_one(a, 3)
-    batch = reference_hyperplane_rounds(vecs, 1, np.random.default_rng(11))
-    assert np.array_equal(a, batch[0])
 
 
 def test_rounds_rejects_non_matrix():
