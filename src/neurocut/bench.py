@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import (CircuitConfig, checkpoint_trajectory, run_trajectory,
-                       trajectory_from_sampler)
+from .circuits import CircuitConfig, run_trajectory, trajectory_from_sampler
 from .graphs import Graph, generate_erdos_renyi, load_graph
 from .oracles import ENUM_LIMIT, brute_force_maxcut, reference_hyperplane_rounds
 from .sdp import SolverConfig, solve_gw_sdp
@@ -200,11 +199,8 @@ def _run_graph_job(args) -> tuple:
 
 
 def _solver_baseline(cfg: ExperimentConfig, graph_id: str, g: Graph, meta: dict) -> tuple:
-    """Best-of-budget direct roundings of the relaxation; flat zero when m == 0."""
+    """Best-of-budget direct roundings of the relaxation."""
     seed = derive_seed(cfg.base_seed, graph_id, "solver-rounding")
-    if g.m == 0:
-        return checkpoint_trajectory(lambda count: 0, cfg.samples, "solver-rounding", seed,
-                                     graph_id), None
     sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
     solution = solve_gw_sdp(g, cfg.circuit.rank,
                             SolverConfig(tol=cfg.circuit.sdp_tol,

@@ -157,9 +157,9 @@ def cmd_spectral(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = parse_config_file(args.config)
-    if args.out_dir:
+    if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
-    if args.jobs:
+    if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
     result = run_experiment(cfg)
     for gid, message in result.failures:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neurocut import (
+    BENCH_METHODS,
     CSV_HEADER,
     CircuitConfig,
     ExperimentConfig,
@@ -78,11 +79,18 @@ def test_solver_rounding_method_rows():
         assert r.ratio == pytest.approx(1.0)
 
 
-def test_edgeless_cell_flat_zero_baseline():
+def test_edgeless_cell_flat_zero_baseline(tmp_path):
+    from neurocut import Graph, save_graph
+
+    empty = tmp_path / "empty.mtx"
+    with open(empty, "w", encoding="utf-8") as fh:
+        save_graph(Graph(5, []), fh)
     cfg = ExperimentConfig(er_n=(10,), er_p=(0.0,), er_graphs_per_cell=1, samples=8,
-                           methods=("random",), custom_grid=True)
+                           graph_files=(str(empty),), methods=BENCH_METHODS, custom_grid=True)
     res = run_experiment(cfg)
     assert not res.failures
+    assert {(r.graph_id, r.method) for r in res.rows} == {
+        (gid, m) for gid in ("er-n10-p0.0-0", "empty") for m in BENCH_METHODS}
     for r in res.rows:
         assert r.best_cut == 0 and r.solver_cut == 0 and r.ratio is None
 

@@ -1,21 +1,26 @@
-"""The names the benchmark in perfbench/ rebinds must exist where it looks.
+"""The names the benchmark in perfbench/ rebinds or reads must exist where it looks.
 
-Its traced run wraps every callable in perfbench/tracer.py TARGETS, and the
-desk workload's check hooks rebind four module attributes of the harness. A
-renamed or deleted target would otherwise only show up in a traced run.
+Its traced run wraps every callable in perfbench/tracer.py TARGETS, the
+desk workload's check hooks rebind four module attributes of the harness, and
+its workloads build SolverConfig objects and read SdpSolution fields. A
+renamed or deleted name would otherwise only show up when the benchmark runs.
 """
 
+import ast
 import importlib
 import sys
 import types
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import neurocut.bench as bench
 import neurocut.circuits as circuits
-from neurocut import BENCH_METHODS, ExperimentConfig, run_experiment
+from neurocut import BENCH_METHODS, ExperimentConfig, SdpSolution, SolverConfig, run_experiment
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOAD = PERFBENCH / "workload.py"
 
 # (module, attribute) pairs the desk hooks rebind
 DESK_HOOKS = ((bench, "solve_gw_sdp"), (bench, "run_trajectory"),
@@ -54,3 +59,16 @@ def test_harness_calls_through_desk_hook_bindings(monkeypatch):
                                              samples=8, methods=BENCH_METHODS, custom_grid=True))
     assert not result.failures
     assert all(calls[name] for _, name in DESK_HOOKS), calls
+
+
+def test_workload_solver_keywords_are_fields():
+    tree = ast.parse(WORKLOAD.read_text(encoding="utf-8"), str(WORKLOAD))
+    keywords = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SolverConfig"
+                for kw in node.keywords]
+    assert keywords
+    assert set(keywords) <= {f.name for f in fields(SolverConfig)}
+
+
+def test_solution_keeps_fields_the_benchmark_reads():
+    assert {"vectors", "objective", "converged", "iterations"} <= {f.name for f in fields(SdpSolution)}

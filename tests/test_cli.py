@@ -163,6 +163,14 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out_dir / "metadata.txt").exists()
 
 
+def test_bench_jobs_zero_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
+                   "methods = random\ncustom_grid = true\n", encoding="utf-8")
+    assert main(["bench", "--config", str(cfg), "--jobs", "0"]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_bench_missing_config_exits_1(tmp_path):
     assert main(["bench", "--config", str(tmp_path / "none.cfg")]) == 1
 

@@ -40,9 +40,7 @@ def test_normalize_rows():
 
 
 def test_k2_solution_antipodal(k2):
-    # two coupled spheres approach the antipodal optimum slowly; the default
-    # 50*n cap is far too small for n=2
-    sol = solve_gw_sdp(k2, config=SolverConfig(max_iter=5000))
+    sol = solve_gw_sdp(k2, config=SolverConfig())
     assert sol.converged
     assert sol.rank == 2  # clamped
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
@@ -58,10 +56,9 @@ def test_k3_solution_120_degrees(k3):
 
 
 def test_c4_objective_reaches_edge_count(c4):
-    # bipartite: relaxation optimum equals m with antipodal sides.  The
-    # optimum sits on a flat face, so the gradient norm stalls above tol and
-    # the run reports non-convergence even though the objective is pinned.
-    sol = solve_gw_sdp(c4, config=SolverConfig(max_iter=10000))
+    # bipartite: relaxation optimum equals m with antipodal sides
+    sol = solve_gw_sdp(c4, config=SolverConfig())
+    assert sol.converged
     assert sol.objective == pytest.approx(4.0, abs=1e-6)
 
 
@@ -93,11 +90,18 @@ def test_determinism_and_seed_sensitivity(petersen):
     assert c.objective == pytest.approx(a.objective, abs=1e-4)
 
 
-def test_monotone_history(petersen):
-    sol = solve_gw_sdp(petersen, config=SolverConfig(record_history=True))
-    hist = np.asarray(sol.history)
-    assert hist.size == sol.iterations + 1
-    assert np.all(np.diff(hist) >= -1e-12)
+def test_objective_monotone_in_sweeps(petersen):
+    # the same start and row order, cut off after 0, 1, ..., 11 sweeps
+    objectives = [solve_gw_sdp(petersen, config=SolverConfig(max_iter=k)).objective
+                  for k in range(12)]
+    assert np.all(np.diff(objectives) >= -1e-12)
+    assert objectives[-1] > objectives[0]
+
+
+def test_dense_baseline_graph_converges():
+    # the ROADMAP baseline graph: n=200 p=0.5, ER seed 1, solver seed 0
+    sol = solve_gw_sdp(generate_erdos_renyi(200, 0.5, 1), config=SolverConfig())
+    assert sol.converged
 
 
 def test_iteration_cap_flags_not_converged(petersen):
@@ -107,9 +111,11 @@ def test_iteration_cap_flags_not_converged(petersen):
     assert sol.grad_norm > 1e-6
 
 
-def test_edgeless_graph_rejected():
-    with pytest.raises(ValueError):
-        solve_gw_sdp(Graph(4, []))
+def test_edgeless_graph_trivial_relaxation():
+    sol = solve_gw_sdp(Graph(4, []))
+    assert sol.objective == 0.0
+    assert sol.converged and sol.iterations == 0 and sol.grad_norm == 0.0
+    assert np.allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
 
 
 def test_sdp_objective_checks_size(k3, c4):
