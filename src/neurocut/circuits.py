@@ -120,7 +120,8 @@ class TrevisanCircuit:
 
     def step(self) -> None:
         """One device draw, one membrane update, one plasticity update."""
-        self.oja.update(self.pop.step(self.pool.sample_step()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.oja.update(self.pop.step(self.pool.sample_step()))
 
     def run_steps(self, count: int) -> None:
         if count < 1:
@@ -128,12 +129,16 @@ class TrevisanCircuit:
         pop_step = self.pop.step
         oja_update = self.oja.update
         done = 0
-        while done < count:
-            b = min(_BATCH, count - done)
-            states = self.pool.sample_steps(b)
-            for s in states:
-                oja_update(pop_step(s))
-            done += b
+        # A diverging learner overflows before OjaState.update raises
+        # NumericalDivergenceError, which is the report, so the transient IEEE
+        # warnings are dropped; the state is entered once per call, not per step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while done < count:
+                b = min(_BATCH, count - done)
+                states = self.pool.sample_steps(b)
+                for s in states:
+                    oja_update(pop_step(s))
+                done += b
 
     def read_cut(self) -> np.ndarray:
         """±1 labels from the learned vector: +1 where w_i > 0, ties to -1."""

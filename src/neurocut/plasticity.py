@@ -47,23 +47,26 @@ class OjaState:
         return self.eta0 / (1.0 + self.t / self.tau)
 
     def update(self, x) -> np.ndarray:
-        """Apply one anti-Hebbian update in place; returns the live w."""
+        """Apply one anti-Hebbian update in place; returns the live w.
+
+        On a diverging run the arithmetic overflows before the norm check
+        raises NumericalDivergenceError. That exception is the report, so a
+        caller looping over updates may run the whole loop under
+        np.errstate(over="ignore", invalid="ignore") to drop the transient
+        IEEE warnings, as TrevisanCircuit does.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != self.w.shape:
             raise ValueError(f"input has shape {x.shape}, expected {self.w.shape}")
         if self.input_scale != 1.0:
             x = self.input_scale * x
         w = self.w
-        # On divergent runs the arithmetic overflows before the norm check
-        # trips; the exception below is the report, so the transient IEEE
-        # warnings carry no extra information.
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = float(w @ x)
-            eta = self.eta
-            w *= 1.0 + eta * (y * y + 1.0 - self._wnorm2)
-            w -= (eta * y) * x
-            self.t += 1
-            wnorm2 = float(w @ w)
+        y = float(w @ x)
+        eta = self.eta
+        w *= 1.0 + eta * (y * y + 1.0 - self._wnorm2)
+        w -= (eta * y) * x
+        self.t += 1
+        wnorm2 = float(w @ w)
         if not math.isfinite(wnorm2):
             raise NumericalDivergenceError(
                 f"weight norm diverged after {self.t} updates (eta0={self.eta0}, tau={self.tau})")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,16 @@ def test_trevisan_divergence_propagates(k3):
     circ = TrevisanCircuit(k3, seed=2, config=CircuitConfig(eta0=1e6))
     with pytest.raises(NumericalDivergenceError):
         circ.run_steps(5000)
+
+
+def test_trevisan_divergence_raises_no_ieee_warning(k3):
+    # overflow on the way to a divergence is reported by the exception alone
+    for advance in (lambda c: c.run_steps(5000), lambda c: [c.step() for _ in range(5000)]):
+        circ = TrevisanCircuit(k3, seed=2, config=CircuitConfig(eta0=1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergenceError):
+                advance(circ)
 
 
 def test_trevisan_input_scale_undoes_stationary_variance(petersen):

@@ -75,9 +75,45 @@ def test_cut_value_shape_check(k3):
 
 
 def test_cut_values_matches_scalar(k3):
-    batch = np.array([[1, 1, 1], [1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+    # hand counts on the triangle: no split cuts nothing, any 2/1 split cuts 2
+    batch = np.array([[1, 1, 1], [1, -1, 1], [-1, -1, 1], [-1, -1, -1]], dtype=np.int8)
     got = cut_values(k3, batch)
-    assert got.tolist() == [cut_value(k3, row) for row in batch]
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 2, 2, 0]
+    assert [cut_value(k3, row) for row in batch] == [0, 2, 2, 0]
+
+
+def gather_cut_values(g, labels):
+    """Reference scorer: count the edges whose endpoint labels differ."""
+    v = np.asarray(labels)
+    return np.count_nonzero(v[:, g.edges[:, 0]] != v[:, g.edges[:, 1]], axis=1)
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 64),
+       st.sampled_from([np.int8, np.int64, np.float64]),
+       st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_cut_values_matches_gather_reference(n, p, batch, dtype, gseed, cseed):
+    g = generate_erdos_renyi(n, p, gseed)
+    rng = np.random.default_rng(cseed)
+    labels = (rng.integers(0, 2, size=(batch, n)) * 2 - 1).astype(dtype)
+    got = cut_values(g, labels)
+    assert got.dtype == np.int64
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
+    assert cut_value(g, labels[0]) == got[0]
+
+
+@pytest.mark.parametrize("row", [[1, 0, 1], [True, False, True], [1.0, -1.0, 2.0],
+                                 [1.0, -1.0, 0.5], [1.0, -1.0, -0.5], [1.0, -1.0, np.nan],
+                                 [1.0, -1.0, np.inf]])
+@pytest.mark.parametrize("graph", [Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(3, [])],
+                         ids=["k3", "edgeless"])
+def test_cut_scorers_reject_non_pm_one_labels(graph, row):
+    row = np.array(row)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        cut_value(graph, row)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        cut_values(graph, np.stack([row, row]))
 
 
 @given(st.integers(2, 12), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
@@ -236,6 +272,14 @@ def test_mtx_rejects_rectangular(tmp_mtx):
 def test_mtx_out_of_range_entry(tmp_mtx):
     path = tmp_mtx(["3 3 1", "1 4"])
     with pytest.raises(ParseError, match="line 2"):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("nnz", [1, 3])
+def test_mtx_entry_count_must_match_nnz(tmp_mtx, nnz):
+    path = tmp_mtx(["%%MatrixMarket matrix coordinate pattern symmetric",
+                    "% a comment", f"4 4 {nnz}", "2 1", "", "3 2"])
+    with pytest.raises(ParseError, match=f"line 3: size line declares {nnz} entries, found 2"):
         load_graph(path)
 
 

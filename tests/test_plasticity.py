@@ -81,14 +81,15 @@ def test_anti_rule_converges_to_min_eigenvector():
 def test_divergence_raises():
     # gigantic eta blows the norm-control feedback up within a few steps
     state = OjaState([1.0, 0.0], eta0=50.0, tau=1e9)
-    with pytest.raises(NumericalDivergenceError):
+    with pytest.raises(NumericalDivergenceError), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1000):
             state.update(np.array([1.0, 0.5]))
 
 
 def test_divergence_message_names_schedule():
     state = OjaState([1.0, 0.0], eta0=50.0, tau=1e9)
-    with pytest.raises(NumericalDivergenceError, match="eta0=50.0"):
+    with (pytest.raises(NumericalDivergenceError, match="eta0=50.0"),
+          np.errstate(over="ignore", invalid="ignore")):
         for _ in range(1000):
             state.update(np.array([1.0, 0.5]))
 
