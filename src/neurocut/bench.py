@@ -158,44 +158,51 @@ def _materialize(cfg: ExperimentConfig, source) -> tuple:
 
 
 def _run_graph_job(args) -> tuple:
-    """One graph, all methods. Returns (rows, meta, failure-or-None)."""
+    """One graph, all methods. Returns (rows, meta, failures).
+
+    failures holds (graph_id, message) pairs. A method that raises loses only
+    its own rows, and its message names it.
+    """
     cfg, graph_id, source = args
     meta: dict = {}
     try:
         g, p = _materialize(cfg, source)
         solver_traj, solution = _solver_baseline(cfg, graph_id, g, meta)
     except (ValueError, OSError) as err:
-        return [], meta, (graph_id, str(err))
+        return [], meta, [(graph_id, str(err))]
     solver_at = dict(solver_traj.checkpoints)
 
     rows = []
-    try:
-        for method in cfg.methods:
-            if method == "solver-rounding":
-                traj = solver_traj
-                seed = solver_traj.seed
-            else:
-                seed = derive_seed(cfg.base_seed, graph_id, method)
+    failures = []
+    for method in cfg.methods:
+        if method == "solver-rounding":
+            traj = solver_traj
+            seed = solver_traj.seed
+        else:
+            seed = derive_seed(cfg.base_seed, graph_id, method)
+            try:
                 traj = run_trajectory(_METHOD_MAP[method], g, cfg.samples, seed, cfg.circuit,
                                       solution=solution if method == "lif-gw" else None,
                                       graph_id=graph_id)
-            meta[f"job.{graph_id}.{method}.seed"] = str(seed)
-            meta[f"job.{graph_id}.{method}.wall_time"] = f"{traj.wall_times[-1]:.3f}"
-            for (samples, best), wall in zip(traj.checkpoints, traj.wall_times):
-                solver_cut = solver_at[samples]
-                ratio = best / solver_cut if solver_cut > 0 else None
-                rows.append(ResultRow(graph_id, g.n, p, method, seed, samples,
-                                      best, solver_cut, ratio, wall))
-    except (RuntimeError, ValueError) as err:
-        return [], meta, (graph_id, str(err))
+            except (RuntimeError, ValueError) as err:
+                failures.append((graph_id, f"{method}: {err}"))
+                continue
+        meta[f"job.{graph_id}.{method}.seed"] = str(seed)
+        meta[f"job.{graph_id}.{method}.wall_time"] = f"{traj.wall_times[-1]:.3f}"
+        for (samples, best), wall in zip(traj.checkpoints, traj.wall_times):
+            solver_cut = solver_at[samples]
+            ratio = best / solver_cut if solver_cut > 0 else None
+            rows.append(ResultRow(graph_id, g.n, p, method, seed, samples,
+                                  best, solver_cut, ratio, wall))
 
     if cfg.self_test and g.n <= ENUM_LIMIT:
         opt = brute_force_maxcut(g).value
         meta[f"job.{graph_id}.exact_opt"] = str(opt)
         for row in rows:
             if row.best_cut > opt:
-                return [], meta, (graph_id, f"best cut {row.best_cut} exceeds exact optimum {opt}")
-    return rows, meta, None
+                message = f"best cut {row.best_cut} exceeds exact optimum {opt}"
+                return [], meta, failures + [(graph_id, message)]
+    return rows, meta, failures
 
 
 def _solver_baseline(cfg: ExperimentConfig, graph_id: str, g: Graph, meta: dict) -> tuple:
@@ -235,12 +242,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list = []
     failures: list = []
     metadata = _config_metadata(cfg)
-    for job_rows, meta, failure in outcomes:
+    for job_rows, meta, job_failures in outcomes:
         rows.extend(job_rows)
         metadata.update(meta)
-        if failure is not None:
-            failures.append(failure)
-            metadata[f"failure.{failure[0]}"] = failure[1]
+        failures.extend(job_failures)
+        if job_failures:
+            metadata[f"failure.{job_failures[0][0]}"] = "; ".join(m for _, m in job_failures)
 
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)

@@ -119,25 +119,27 @@ class TrevisanCircuit:
         return self.oja.t
 
     def step(self) -> None:
-        """One device draw, one membrane update, one plasticity update."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.oja.update(self.pop.step(self.pool.sample_step()))
+        """One device draw, one membrane update, one plasticity update: run_steps(1)."""
+        self.run_steps(1)
 
     def run_steps(self, count: int) -> None:
+        """Advance count steps, one device block of up to _BATCH draws at a time.
+
+        Each block's membranes come from one LifPopulation.step call and its
+        plasticity updates from one OjaState.update call, so the result agrees
+        with single steps to rounding, and the same schedule of calls
+        reproduces it bit for bit.
+        """
         if count < 1:
             raise ValueError("count must be positive")
-        pop_step = self.pop.step
-        oja_update = self.oja.update
         done = 0
         # A diverging learner overflows before OjaState.update raises
         # NumericalDivergenceError, which is the report, so the transient IEEE
-        # warnings are dropped; the state is entered once per call, not per step.
+        # warnings are dropped; the state is entered once per call, not per block.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < count:
                 b = min(_BATCH, count - done)
-                states = self.pool.sample_steps(b)
-                for s in states:
-                    oja_update(pop_step(s))
+                self.oja.update(self.pop.step(self.pool.sample_steps(b)))
                 done += b
 
     def read_cut(self) -> np.ndarray:

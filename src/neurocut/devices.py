@@ -20,10 +20,6 @@ class DevicePool:
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
-    def sample_step(self) -> np.ndarray:
-        """One simultaneous draw of all devices."""
-        return self.sample_steps(1)[0]
-
     def sample_steps(self, steps: int) -> np.ndarray:
         """(steps, count) float array of ±1; row k equals the k-th sequential draw."""
         if steps < 1:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
+
+# Rows per leak chunk of a state block: the chunk's leak kernel is an
+# (_CHUNK, _CHUNK) lower-triangular matrix, applied as one small GEMM.
+_CHUNK = 64
 
 
 class LifPopulation:
@@ -30,30 +33,67 @@ class LifPopulation:
         self.dt = float(dt)
         self.alpha = float(alpha)
         self.V = np.zeros(self.n)
+        q = 1.0 - self.alpha
+        lag = np.subtract.outer(np.arange(_CHUNK), np.arange(_CHUNK))
+        # _leak[i, j] = q^(i-j) on and below the diagonal; _carry[i] = q^(i+1)
+        self._leak = np.tril(q ** np.abs(lag))
+        self._carry = q ** np.arange(1, _CHUNK + 1)
 
     def reset(self) -> None:
         self.V[:] = 0.0
 
     def step(self, states) -> np.ndarray:
-        """Advance one timestep with the given device states; returns the live membrane."""
+        """Advance one timestep per device state; returns the membranes.
+
+        An (r,) state advances one step and returns the live membrane. A
+        (T, r) block advances T steps and returns the (T, n) membranes after
+        each of them, leaving the live membrane at the last row. The block
+        drive is one GEMM and its leak is applied in chunks (see _integrate),
+        so block and row-by-row results agree to rounding, not bit for bit.
+        """
         s = np.asarray(states, dtype=float)
-        if s.shape != (self.r,):
-            raise ValueError(f"device state has shape {s.shape}, expected ({self.r},)")
-        self.V *= 1.0 - self.alpha
-        self.V += (self.dt / self.C) * (self.weights @ s)
-        return self.V
+        if s.shape == (self.r,):
+            self.V *= 1.0 - self.alpha
+            self.V += (self.dt / self.C) * (self.weights @ s)
+            return self.V
+        if s.ndim != 2 or s.shape[1] != self.r:
+            raise ValueError(f"device states have shape {s.shape}, "
+                             f"expected ({self.r},) or (T, {self.r})")
+        out = self._integrate(s, self.V)
+        if len(out):
+            self.V[:] = out[-1]
+        return out
 
     def simulate(self, states) -> np.ndarray:
         """Membrane trajectory for a (T, r) state sequence starting from V = 0.
 
-        Equivalent to reset() followed by T step() calls but computed as a
-        linear recurrence filter; does not touch the live membrane state.
+        The same block kernel as step() from a zero membrane, equivalent to
+        reset() followed by T single steps; does not touch the live membrane.
         """
         s = np.asarray(states, dtype=float)
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"state sequence has shape {s.shape}, expected (T, {self.r})")
-        drive = (self.dt / self.C) * (s @ self.weights.T)
-        return lfilter([1.0], [1.0, -(1.0 - self.alpha)], drive, axis=0)
+        return self._integrate(s, np.zeros(self.n))
+
+    def _integrate(self, states, v0) -> np.ndarray:
+        """(T, n) membranes of V_t = q V_{t-1} + (dt/C) W s_t from V_{-1} = v0.
+
+        The drive D = (dt/C) S W^T is one GEMM. Each chunk of L <= _CHUNK rows
+        is then closed-form: V = K D + q^(1..L) (outer) V_prev, with K the
+        lower-triangular Toeplitz matrix of q^(i-j) and V_prev the membrane
+        before the chunk.
+        """
+        drive = states @ self.weights.T
+        drive *= self.dt / self.C
+        out = np.empty_like(drive)
+        prev = v0
+        for start in range(0, len(drive), _CHUNK):
+            chunk = out[start:start + _CHUNK]
+            rows = len(chunk)
+            np.matmul(self._leak[:rows, :rows], drive[start:start + rows], out=chunk)
+            chunk += np.multiply.outer(self._carry[:rows], prev)
+            prev = chunk[-1]
+        return out
 
     @property
     def kappa(self) -> float:

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
+
+# Rows per delayed (Gram-form) sub-block of a block update. Each step of a
+# sub-block costs O(rows) scalar work, the sub-block's products O(rows * n).
+_SUB = 32
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -47,19 +52,42 @@ class OjaState:
         return self.eta0 / (1.0 + self.t / self.tau)
 
     def update(self, x) -> np.ndarray:
-        """Apply one anti-Hebbian update in place; returns the live w.
+        """Apply one anti-Hebbian update per input in place; returns the live w.
 
-        On a diverging run the arithmetic overflows before the norm check
-        raises NumericalDivergenceError. That exception is the report, so a
-        caller looping over updates may run the whole loop under
+        An (n,) input applies one update with two dots and an axpy, which
+        costs less than a one-row sub-block. A (b, n) block applies b
+        sequential updates, row by row, in sub-blocks of up to _SUB rows.
+        A sub-block X with start vector w0 runs in delayed (Gram) form:
+        p = X w0 and G = X X^T are two products, w_t = s_t (w0 - sum_{k<t}
+        g_k x_k) stays implicit, and each step is scalar work,
+
+            y_t = s_t (p_t - sum_{k<t} g_k G_kt),
+            a_t = 1 + eta_t (y_t^2 + 1 - |w_t|^2),    b_t = eta_t y_t,
+            |w_{t+1}|^2 = a_t^2 |w_t|^2 - 2 a_t b_t y_t + b_t^2 G_tt,
+            s_{t+1} = a_t s_t,    g_t = b_t / s_{t+1}.
+
+        The sub-block ends by forming w = s (w0 - g^T X) and recomputing |w|^2
+        exactly. Block and vector updates agree to rounding, not bit for bit.
+
+        NumericalDivergenceError is raised at the first update after which
+        |w|^2 (or, in a block, the scale s) is not finite, or s is zero; t
+        then counts that update, and w holds the diverged vector. On a
+        diverging run the arithmetic overflows before the check raises. That
+        exception is the report, so a caller may run its updates under
         np.errstate(over="ignore", invalid="ignore") to drop the transient
         IEEE warnings, as TrevisanCircuit does.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != self.w.shape:
-            raise ValueError(f"input has shape {x.shape}, expected {self.w.shape}")
+        block = x.ndim == 2 and x.shape[1:] == self.w.shape
+        if not block and x.shape != self.w.shape:
+            raise ValueError(f"input has shape {x.shape}, "
+                             f"expected {self.w.shape} or (b, {len(self.w)})")
         if self.input_scale != 1.0:
             x = self.input_scale * x
+        if block:
+            for start in range(0, len(x), _SUB):
+                self._update_gram(x[start:start + _SUB])
+            return self.w
         w = self.w
         y = float(w @ x)
         eta = self.eta
@@ -68,7 +96,44 @@ class OjaState:
         self.t += 1
         wnorm2 = float(w @ w)
         if not math.isfinite(wnorm2):
-            raise NumericalDivergenceError(
-                f"weight norm diverged after {self.t} updates (eta0={self.eta0}, tau={self.tau})")
+            raise self._divergence()
         self._wnorm2 = wnorm2
         return w
+
+    def _update_gram(self, x) -> None:
+        """Sequential updates by the rows of x (already input-scaled), in Gram form."""
+        w = self.w
+        p = (x @ w).tolist()
+        gram = (x @ x.T).tolist()
+        eta0, tau, t0 = self.eta0, self.tau, self.t
+        wnorm2 = self._wnorm2
+        s = 1.0
+        g: list = []
+        for t, (pt, gt) in enumerate(zip(p, gram)):
+            eta = eta0 / (1.0 + (t0 + t) / tau)
+            y = s * (pt - sum(map(mul, g, gt)))
+            a = 1.0 + eta * (y * y + 1.0 - wnorm2)
+            b = eta * y
+            wnorm2 = a * a * wnorm2 - 2.0 * a * b * y + b * b * gt[t]
+            s_next = a * s
+            if not (math.isfinite(wnorm2) and math.isfinite(s_next)) or s_next == 0.0:
+                # leave w where the vector rule would: w_t, then one explicit step
+                w -= np.asarray(g) @ x[:t]
+                w *= s
+                w *= a
+                w -= b * x[t]
+                self.t = t0 + t + 1
+                raise self._divergence()
+            s = s_next
+            g.append(b / s)
+        w -= np.asarray(g) @ x
+        w *= s
+        self.t = t0 + len(p)
+        wnorm2 = float(w @ w)
+        if not math.isfinite(wnorm2):
+            raise self._divergence()
+        self._wnorm2 = wnorm2
+
+    def _divergence(self) -> NumericalDivergenceError:
+        return NumericalDivergenceError(
+            f"weight norm diverged after {self.t} updates (eta0={self.eta0}, tau={self.tau})")

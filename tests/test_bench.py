@@ -121,6 +121,23 @@ def test_missing_file_is_recorded_not_fatal(tmp_path):
     assert "failure.nope" in res.metadata
 
 
+def test_diverging_method_keeps_other_methods_rows():
+    cfg = tiny_config(er_graphs_per_cell=1, methods=BENCH_METHODS,
+                      circuit=CircuitConfig(eta0=50.0))
+    res = run_experiment(cfg)
+    gid = "er-n10-p0.5-0"
+    assert len(res.failures) == 1
+    failed_gid, message = res.failures[0]
+    assert failed_gid == gid
+    assert message.startswith("lif-trevisan: weight norm diverged after ")
+    assert res.metadata[f"failure.{gid}"] == message
+    by_method = {}
+    for r in res.rows:
+        by_method.setdefault(r.method, []).append(r.samples)
+    assert by_method == {m: [2 ** k for k in range(7)]
+                         for m in ("lif-gw", "solver-rounding", "random")}
+
+
 def test_validate_rejects_bad_config():
     with pytest.raises(ValueError):
         run_experiment(tiny_config(methods=("simulated-annealing",)))

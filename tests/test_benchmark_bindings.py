@@ -16,7 +16,8 @@ from pathlib import Path
 
 import neurocut.bench as bench
 import neurocut.circuits as circuits
-from neurocut import BENCH_METHODS, ExperimentConfig, SdpSolution, SolverConfig, run_experiment
+from neurocut import (BENCH_METHODS, ExperimentConfig, LifPopulation, OjaState, SdpSolution,
+                      SolverConfig, TrevisanCircuit, generate_erdos_renyi, run_experiment)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -59,6 +60,22 @@ def test_harness_calls_through_desk_hook_bindings(monkeypatch):
                                              samples=8, methods=BENCH_METHODS, custom_grid=True))
     assert not result.failures
     assert all(calls[name] for _, name in DESK_HOOKS), calls
+
+
+def test_learner_calls_through_traced_class_attributes(monkeypatch):
+    # the tracer times the learner's layers by wrapping these two class
+    # attributes, so a block must reach both through them
+    calls = Counter()
+    for owner, name in ((LifPopulation, "step"), (OjaState, "update")):
+        original = vars(owner)[name]
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    TrevisanCircuit(generate_erdos_renyi(10, 0.5, 1), seed=3).run_steps(5000)
+    assert calls["step"] == calls["update"] >= 1
 
 
 def test_workload_solver_keywords_are_fields():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from neurocut import (
     CircuitConfig,
     DevicePool,
+    ExperimentConfig,
     GwCircuit,
     LifPopulation,
     NumericalDivergenceError,
@@ -116,15 +117,23 @@ def test_trevisan_c4_sign_pattern(c4):
     assert labels in {(1, -1, 1, -1), (-1, 1, -1, 1)}
 
 
+def assert_same_learner(a, b, rel=1e-12):
+    """Weights and membranes within rel of b's largest entry, and the same cut."""
+    assert a.steps_taken == b.steps_taken
+    for x, y in ((a.oja.w, b.oja.w), (a.pop.V, b.pop.V)):
+        assert np.max(np.abs(x - y)) <= rel * np.max(np.abs(y))
+    assert np.array_equal(a.read_cut(), b.read_cut())
+
+
 def test_trevisan_step_equals_run_steps(k3):
+    # blocks split the rounding differently, so agreement is to 1e-12
     a = TrevisanCircuit(k3, seed=4)
     b = TrevisanCircuit(k3, seed=4)
     for _ in range(50):
         a.step()
     b.run_steps(50)
     assert a.steps_taken == b.steps_taken == 50
-    assert np.array_equal(a.oja.w, b.oja.w)
-    assert np.array_equal(a.pop.V, b.pop.V)
+    assert_same_learner(a, b)
 
 
 def test_trevisan_run_steps_chunking_invariant(k3):
@@ -134,9 +143,56 @@ def test_trevisan_run_steps_chunking_invariant(k3):
     b.run_steps(1)
     b.run_steps(4095)
     b.run_steps(904)
-    assert np.array_equal(a.oja.w, b.oja.w)
+    assert_same_learner(a, b)
     with pytest.raises(ValueError):
         a.run_steps(0)
+
+
+def test_trevisan_same_schedule_is_bit_identical(petersen):
+    runs = []
+    for _ in range(2):
+        circ = TrevisanCircuit(petersen, seed=9)
+        for count in (1, 4095, 904, 7000):
+            circ.run_steps(count)
+        runs.append((circ.oja.w.tobytes(), circ.pop.V.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def _vector_divergence_step(circ, steps):
+    """Update count at which a one-step-at-a-time replay of circ diverges, or None.
+
+    Written out from the Euler membrane step and the anti-Hebbian rule, on a
+    fresh circuit's device stream, weights and start vector.
+    """
+    pop, oja = circ.pop, circ.oja
+    q, c = 1.0 - pop.alpha, pop.dt / pop.C
+    v = np.zeros(pop.n)
+    w = oja.w.copy()
+    wnorm2 = float(w @ w)
+    for t, s in enumerate(circ.pool.sample_steps(steps)):
+        v = q * v + c * (pop.weights @ s)
+        x = oja.input_scale * v
+        y = float(w @ x)
+        eta = oja.eta0 / (1.0 + t / oja.tau)
+        w = w * (1.0 + eta * (y * y + 1.0 - wnorm2)) - (eta * y) * x
+        wnorm2 = float(w @ w)
+        if not np.isfinite(wnorm2):
+            return t + 1
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trevisan_full_scale_divergence_step_matches_vector_loop(seed):
+    # the full-scale learning rate diverges at n=500 (ROADMAP item 4)
+    cfg = ExperimentConfig.full_scale().circuit
+    g = generate_erdos_renyi(500, 0.75, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _vector_divergence_step(TrevisanCircuit(g, seed, cfg), 256)
+    assert want is not None
+    circ = TrevisanCircuit(g, seed, cfg)
+    with pytest.raises(NumericalDivergenceError, match=f"after {want} updates "):
+        circ.run_steps(256)
+    assert circ.steps_taken == want
 
 
 def test_trevisan_read_cut_tie_convention(k3):

@@ -18,7 +18,7 @@ def test_stream_split_invariance():
     a = DevicePool(7, seed=42)
     b = DevicePool(7, seed=42)
     batch = a.sample_steps(13)
-    singles = np.array([b.sample_step() for _ in range(13)])
+    singles = np.array([b.sample_steps(1)[0] for _ in range(13)])
     assert np.array_equal(batch, singles)
     # and two uneven batches continue the same stream
     c = DevicePool(7, seed=42)
@@ -61,4 +61,4 @@ def test_stream_is_pure_function_of_seed_and_position(count, seed, k):
     a.sample_steps(k)
     b = DevicePool(count, seed=seed)
     b.sample_steps(k)
-    assert np.array_equal(a.sample_step(), b.sample_step())
+    assert np.array_equal(a.sample_steps(1), b.sample_steps(1))

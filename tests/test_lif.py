@@ -31,6 +31,8 @@ def test_step_validates_shape():
     pop = make_pop(3, 2)
     with pytest.raises(ValueError):
         pop.step(np.zeros(3))
+    with pytest.raises(ValueError):
+        pop.step(np.zeros((4, 3)))
 
 
 def test_unstable_constants_rejected():
@@ -42,7 +44,13 @@ def test_unstable_constants_rejected():
         LifPopulation(np.ones(4))  # not a matrix
 
 
-@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 64), st.integers(0, 2 ** 31))
+def assert_rel_close(got, want, rel=1e-12):
+    """Agreement within rel of the reference's largest entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 200), st.integers(0, 2 ** 31))
 @settings(max_examples=40, deadline=None)
 def test_simulate_equals_step_loop(n, r, steps, seed):
     rng = np.random.default_rng(seed)
@@ -52,8 +60,27 @@ def test_simulate_equals_step_loop(n, r, steps, seed):
     traj = pop.simulate(states)
     pop.reset()
     stepped = np.array([pop.step(s).copy() for s in states])
-    assert traj.shape == (steps, n)
-    assert np.allclose(traj, stepped, atol=1e-10)
+    assert_rel_close(traj, stepped)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 200), st.integers(0, 2 ** 31),
+       st.floats(0.01, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_step_block_equals_row_loop(n, r, steps, seed, alpha):
+    # a block from a non-zero membrane, across the leak-chunk boundary
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, r))
+    v0 = rng.standard_normal(n)
+    states = DevicePool(r, seed=seed).sample_steps(steps)
+    block, rows = LifPopulation(w, alpha=alpha), LifPopulation(w, alpha=alpha)
+    block.V[:] = v0
+    rows.V[:] = v0
+    live = block.V
+    out = block.step(states)
+    stepped = np.array([rows.step(s).copy() for s in states])
+    assert_rel_close(out, stepped)
+    assert block.V is live
+    assert np.array_equal(block.V, out[-1])
 
 
 def test_simulate_does_not_touch_live_state():

@@ -18,6 +18,8 @@ def test_state_validation():
     st1 = OjaState([1.0, 0.0])
     with pytest.raises(ValueError):
         st1.update(np.ones(3))
+    with pytest.raises(ValueError):
+        st1.update(np.ones((4, 3)))
 
 
 def test_eta_schedule():
@@ -84,6 +86,55 @@ def test_divergence_raises():
     with pytest.raises(NumericalDivergenceError), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1000):
             state.update(np.array([1.0, 0.5]))
+
+
+def _vector_divergence(state, inputs):
+    """(t, message) at which one-vector updates raise, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in inputs:
+                state.update(x)
+    except NumericalDivergenceError as err:
+        return state.t, str(err)
+    return None
+
+
+@pytest.mark.parametrize("quiet", [0, 31, 45])
+def test_block_divergence_matches_vector_loop(quiet):
+    # zero inputs leave a unit w unchanged, so the blow-up starts after
+    # `quiet` rows: inside the first sub-block, at its last row, or later
+    inputs = np.vstack([np.zeros((quiet, 2)), np.tile([1.0, 0.5], (100, 1))])
+    want = _vector_divergence(OjaState([1.0, 0.0], eta0=50.0, tau=1e9), inputs)
+    assert want is not None and want[0] > quiet
+    block = OjaState([1.0, 0.0], eta0=50.0, tau=1e9)
+    with (pytest.raises(NumericalDivergenceError) as err,
+          np.errstate(over="ignore", invalid="ignore")):
+        block.update(inputs)
+    assert (block.t, str(err.value)) == want
+
+
+@given(st.integers(1, 8), st.integers(1, 100), st.integers(0, 2 ** 31),
+       st.sampled_from([0.5, 1.0, 2.5]), st.sampled_from([1e-3, 5e-3, 0.02]))
+@settings(max_examples=40, deadline=None)
+def test_block_update_equals_vector_updates(n, rows, seed, input_scale, eta0):
+    # across the 32-row sub-block boundary, from a mid-schedule start; inputs
+    # of norm <= 1 keep eta |x|^2 in the stable range, as in the test below
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    w /= np.linalg.norm(w)
+    inputs = rng.standard_normal((rows, n))
+    inputs /= np.maximum(1.0, np.linalg.norm(inputs, axis=1))[:, None]
+    block = OjaState(w, eta0=eta0, tau=50.0, input_scale=input_scale)
+    vector = OjaState(w, eta0=eta0, tau=50.0, input_scale=input_scale)
+    block.t = vector.t = 7
+    live = block.w
+    assert block.update(inputs) is live
+    for x in inputs:
+        vector.update(x)
+    assert block.t == vector.t == 7 + rows
+    err = np.max(np.abs(block.w - vector.w))
+    assert err <= 1e-12 * np.max(np.abs(vector.w))
+    assert block._wnorm2 == float(block.w @ block.w)
 
 
 def test_divergence_message_names_schedule():
