@@ -216,6 +216,7 @@ def _solver_baseline(cfg: ExperimentConfig, graph_id: str, g: Graph, meta: dict)
     meta[f"job.{graph_id}.sdp_objective"] = f"{solution.objective:.6f}"
     meta[f"job.{graph_id}.sdp_grad_norm"] = f"{solution.grad_norm:.3e}"
     meta[f"job.{graph_id}.sdp_converged"] = str(solution.converged)
+    meta[f"job.{graph_id}.sdp_iterations"] = str(solution.iterations)
     rng = np.random.default_rng(seed)
 
     def sampler(b):

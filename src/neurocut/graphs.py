@@ -151,13 +151,15 @@ def trevisan_matrix(g: Graph) -> TrevisanMatrix:
 def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
     """Load an undirected graph from an edge-list or Matrix Market file.
 
-    Self-loops are dropped, duplicate and reversed edges merge, and weights are
-    binarized (zero weight means no edge). Edge lists carry no vertex count, so
-    ids are remapped to 0..n-1 in first-appearance order; Matrix Market files
-    declare the size and keep isolated vertices, and their entry lines must
-    number exactly the declared nnz. Edge-list ids start at 1, or at
-    0 with zero_indexed. fmt='auto' picks matrix-market for a .mtx suffix and
-    edge-list otherwise.
+    Self-loops are dropped and duplicate and reversed edges merge. An optional
+    third token is a weight: 1 means an edge and 0 means no edge. Any other
+    weight (2.5, 0.7, -1, nan) raises ParseError naming its line, since the
+    graph is unweighted and would misread it. Edge lists carry no vertex
+    count, so ids are remapped to 0..n-1 in first-appearance order; Matrix
+    Market files declare the size and keep isolated vertices, and their entry
+    lines must number exactly the declared nnz. Edge-list ids start at 1, or
+    at 0 with zero_indexed. fmt='auto' picks matrix-market for a .mtx suffix
+    and edge-list otherwise.
     """
     path = os.fspath(path)
     if fmt == "auto":
@@ -172,7 +174,11 @@ def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
 
 
 def _split_entry(raw: str, lineno: int):
-    """Tokenize one data line into (u, v, weight or None)."""
+    """Tokenize one data line into (u, v, is_edge).
+
+    A missing weight or a weight of 1 is an edge and a weight of 0 is not; any
+    other weight is input the unweighted graph cannot represent.
+    """
     tokens = raw.split()
     if len(tokens) < 2:
         raise ParseError("expected at least two integer tokens", lineno)
@@ -180,13 +186,15 @@ def _split_entry(raw: str, lineno: int):
         u, v = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ParseError(f"bad vertex id in {raw!r}", lineno) from None
-    w = None
-    if len(tokens) >= 3:
-        try:
-            w = float(tokens[2])
-        except ValueError:
-            raise ParseError(f"bad weight token {tokens[2]!r}", lineno) from None
-    return u, v, w
+    if len(tokens) < 3:
+        return u, v, True
+    try:
+        w = float(tokens[2])
+    except ValueError:
+        raise ParseError(f"bad weight token {tokens[2]!r}", lineno) from None
+    if w not in (0.0, 1.0):
+        raise ParseError(f"weight {tokens[2]!r} is not 0 or 1", lineno)
+    return u, v, w == 1.0
 
 
 def _parse_edge_list(lines, base: int) -> Graph:
@@ -198,10 +206,10 @@ def _parse_edge_list(lines, base: int) -> Graph:
         if not stripped or stripped.startswith(("#", "%")):
             continue
         saw_data = True
-        u, v, w = _split_entry(stripped, lineno)
+        u, v, is_edge = _split_entry(stripped, lineno)
         if u < base or v < base:
             raise ParseError(f"vertex id below base {base}", lineno)
-        if w is not None and w == 0.0:
+        if not is_edge:
             continue
         for vid in (u, v):
             if vid not in order:
@@ -252,10 +260,10 @@ def _parse_matrix_market(lines) -> Graph:
         if not stripped or stripped.startswith("%"):
             continue
         entries += 1
-        u, v, w = _split_entry(stripped, lineno)
+        u, v, is_edge = _split_entry(stripped, lineno)
         if not (1 <= u <= rows and 1 <= v <= rows):
             raise ParseError(f"entry ({u}, {v}) outside 1..{rows}", lineno)
-        if w is not None and w == 0.0:
+        if not is_edge:
             continue
         if u == v:
             continue

@@ -9,10 +9,12 @@ from neurocut import (
     CSV_HEADER,
     CircuitConfig,
     ExperimentConfig,
+    SolverConfig,
     brute_force_maxcut,
     generate_erdos_renyi,
     parse_config_file,
     run_experiment,
+    solve_gw_sdp,
     summarize,
 )
 from neurocut.bench import ResultRow, write_results_csv
@@ -169,6 +171,20 @@ def test_output_files(tmp_path):
     assert "config.base_seed=5" in meta
     assert "config.circuit.eta0=0.005" in meta
     assert (out / "summary.csv").exists()
+
+
+def test_metadata_records_solver_diagnostics(tmp_path):
+    out = tmp_path / "results"
+    res = run_experiment(tiny_config(out_dir=str(out)))
+    meta = (out / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    for i, gid in enumerate(("er-n10-p0.5-0", "er-n10-p0.5-1")):
+        g = generate_erdos_renyi(10, 0.5, derive_seed(5, "er", 10, 0.5, i))
+        seed = int(res.metadata[f"job.{gid}.sdp_seed"])
+        sol = solve_gw_sdp(g, CircuitConfig().rank, SolverConfig(seed=seed))
+        assert res.metadata[f"job.{gid}.sdp_iterations"] == str(sol.iterations)
+        assert res.metadata[f"job.{gid}.sdp_converged"] == str(sol.converged)
+        for key in ("sdp_objective", "sdp_grad_norm", "sdp_converged", "sdp_iterations"):
+            assert f"job.{gid}.{key}={res.metadata[f'job.{gid}.{key}']}" in meta
 
 
 def test_csv_formatting_rules(tmp_path):

@@ -210,10 +210,14 @@ def test_edge_list_duplicates_reverse_and_loops(tmp_edge_list):
 
 
 def test_edge_list_zero_weight_skips_edge(tmp_edge_list):
-    path = tmp_edge_list(["1 2 1.0", "2 3 0.0", "3 4 2.5"])
+    path = tmp_edge_list(["1 2 1.0", "2 3 0.0", "3 4 1"])
     g = load_graph(path)
     # 2-3 contributes no edge; ids 3 and 4 still enter via their other lines
     assert (g.n, g.m) == (4, 2)
+    for weight in ("2.5", "-1", "0.5", "nan", "inf"):
+        path = tmp_edge_list(["1 2 1.0", "2 3 0.0", f"3 4 {weight}"])
+        with pytest.raises(ParseError, match=f"line 3: weight '{weight}' is not 0 or 1"):
+            load_graph(path)
 
 
 def test_edge_list_indexing_option(tmp_edge_list):
@@ -284,9 +288,15 @@ def test_mtx_entry_count_must_match_nnz(tmp_mtx, nnz):
 
 
 def test_mtx_weighted_entries_binarized(tmp_mtx):
-    path = tmp_mtx(["4 4 3", "1 2 0.7", "2 3 0", "3 3 5"])
+    path = tmp_mtx(["4 4 3", "1 2 1", "2 3 0", "3 3 1.0"])
     g = load_graph(path)
     assert (g.n, g.m) == (4, 1)
+    path = tmp_mtx(["4 4 3", "1 2 0.7", "2 3 0", "3 4 1"])
+    with pytest.raises(ParseError, match="line 2: weight '0.7' is not 0 or 1"):
+        load_graph(path)
+    path = tmp_mtx(["4 4 3", "1 2 1", "2 3 0", "3 3 5"])
+    with pytest.raises(ParseError, match="line 4: weight '5' is not 0 or 1"):
+        load_graph(path)
 
 
 def test_format_detection_by_suffix(tmp_path):

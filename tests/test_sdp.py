@@ -16,6 +16,7 @@ from neurocut import (
     sdp_objective,
     solve_gw_sdp,
 )
+from neurocut.sdp import _colour_classes
 
 
 def test_effective_rank_clamps_tiny_graphs():
@@ -91,7 +92,7 @@ def test_determinism_and_seed_sensitivity(petersen):
 
 
 def test_objective_monotone_in_sweeps(petersen):
-    # the same start and row order, cut off after 0, 1, ..., 11 sweeps
+    # the same start and class order, cut off after 0, 1, ..., 11 sweeps
     objectives = [solve_gw_sdp(petersen, config=SolverConfig(max_iter=k)).objective
                   for k in range(12)]
     assert np.all(np.diff(objectives) >= -1e-12)
@@ -102,6 +103,82 @@ def test_dense_baseline_graph_converges():
     # the ROADMAP baseline graph: n=200 p=0.5, ER seed 1, solver seed 0
     sol = solve_gw_sdp(generate_erdos_renyi(200, 0.5, 1), config=SolverConfig())
     assert sol.converged
+
+
+def test_sparse_baseline_graph_converges_in_few_sweeps():
+    # the ROADMAP baseline graph: n=200 p=0.1, ER seed 1, solver seed 0.
+    # Row by row in vertex order it needed 2,495 sweeps; by colour class, 252.
+    sol = solve_gw_sdp(generate_erdos_renyi(200, 0.1, 1), config=SolverConfig())
+    assert sol.converged
+    assert sol.iterations <= 500
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_colour_classes_partition_into_independent_sets(n, p, seed):
+    g = generate_erdos_renyi(n, p, seed)
+    order, bounds = _colour_classes(g.adjacency)
+    # every vertex in exactly one class
+    assert sorted(order.tolist()) == list(range(n))
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert np.all(np.diff(bounds) > 0)
+    colour = np.empty(n, dtype=int)
+    for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        colour[order[lo:hi]] = c
+    # no edge inside a class
+    for u, v in g.edges:
+        assert colour[u] != colour[v]
+    assert len(bounds) - 1 <= g.degrees.max() + 1
+    if p == 0.0:
+        assert len(bounds) == 2
+    if p == 1.0:
+        assert len(bounds) - 1 == n
+
+
+def _row_sweep(g, w, order):
+    """One mixing sweep row by row: w_i = -z / |z| with z = sum_j A_ij w_j."""
+    w = w.copy()
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    for i in order:
+        z = np.zeros(w.shape[1])
+        for j in neighbours[i]:
+            z += w[j]
+        norm = np.sqrt(z @ z)
+        if norm > 0.0:
+            w[i] = -z / norm
+    return w
+
+
+@given(st.integers(2, 30), st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 2 ** 31),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_class_sweep_equals_row_updates_in_class_order(n, p, graph_seed, solver_seed):
+    g = generate_erdos_renyi(n, p, graph_seed)
+    rng = np.random.default_rng(solver_seed)
+    start = normalize_rows(rng.standard_normal((n, effective_rank(4, n))))
+    cfg = SolverConfig(tol=0.0, max_iter=0, seed=solver_seed)
+    assert np.array_equal(solve_gw_sdp(g, config=cfg).vectors, start)
+    order, _ = _colour_classes(g.adjacency)
+    expected = start
+    for sweeps in (1, 2, 3):
+        expected = _row_sweep(g, expected, order)
+        got = solve_gw_sdp(g, config=SolverConfig(tol=0.0, max_iter=sweeps, seed=solver_seed))
+        assert np.max(np.abs(got.vectors - expected)) <= 1e-12
+
+
+def test_isolated_vertices_keep_their_start_rows():
+    # a triangle and an edge, with isolated vertices 3, 6 and 7 between them
+    g = Graph(8, [(0, 1), (1, 2), (0, 2), (4, 5)])
+    start = normalize_rows(np.random.default_rng(0).standard_normal((8, 4)))
+    sol = solve_gw_sdp(g, config=SolverConfig(seed=0))
+    assert sol.converged and sol.iterations > 0
+    isolated = [3, 6, 7]
+    assert np.array_equal(sol.vectors[isolated], start[isolated])
+    assert np.allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
+    assert sol.objective == pytest.approx(9.0 / 4.0 + 1.0, abs=1e-6)
 
 
 def test_iteration_cap_flags_not_converged(petersen):
