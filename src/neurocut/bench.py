@@ -90,6 +90,12 @@ class ExperimentConfig:
                 raise ValueError(
                     f"ER grid values {bad_n or bad_p} are outside the preset scales; "
                     "set custom_grid=true to run them anyway")
+        seen = set()
+        for gid, _ in _job_list(self):
+            if gid in seen:
+                raise ValueError(f"duplicate graph id {gid!r}: a repeated grid value "
+                                 "or two graph files with the same file stem")
+            seen.add(gid)
 
 
 @dataclass

@@ -31,13 +31,8 @@ METHODS = ("gw", "trevisan", "random")
 class CircuitConfig:
     """Circuit constants shared by both circuits and the benchmark harness."""
 
-    alpha: float = 0.05          # leak factor dt/(R C) per step
-    dt: float = 1.0
-    capacitance: float = 1.0
-    threshold: float = 0.0
+    alpha: float = 0.05          # membrane leak per step
     epoch_steps: int = 100       # integration steps per GW sample
-    gw_weight_scale: float = 1.0
-    trevisan_weight_scale: float = 1.0
     eta0: float = 5e-3
     tau: float = 1e5
     rank: int = 4
@@ -49,7 +44,7 @@ class GwCircuit:
     """Rounding sampler: device pool -> LIF population with relaxation rows as weights.
 
     Each sample resets the membranes, integrates epoch_steps fresh ±1 device
-    draws, and thresholds the membrane signs into a cut. Over an epoch the
+    draws, and reads the membrane signs as a cut. Over an epoch the
     membrane covariance is proportional to the Gram matrix of the relaxation
     vectors, so the sign reads reproduce hyperplane-rounding statistics.
     """
@@ -65,12 +60,11 @@ class GwCircuit:
         self.config = config
         self.seed = int(seed)
         self.pool = DevicePool(solution.rank, seed=seed)
-        self.pop = LifPopulation(config.gw_weight_scale * solution.vectors,
-                                 alpha=config.alpha, C=config.capacitance, dt=config.dt)
+        self.pop = LifPopulation(solution.vectors, alpha=config.alpha)
         k = config.epoch_steps
         q = 1.0 - self.pop.alpha
         # closed-form weight of draw j in the end-of-epoch membrane, j = 0..k-1
-        self._decay = (config.dt / config.capacitance) * q ** np.arange(k - 1, -1, -1)
+        self._decay = q ** np.arange(k - 1, -1, -1)
 
     def epoch_membranes(self, count: int) -> np.ndarray:
         """(count, n) end-of-epoch membrane vectors, one reset epoch per row."""
@@ -88,16 +82,16 @@ class GwCircuit:
     def sample_cuts(self, count: int) -> np.ndarray:
         """(count, n) array of ±1 labels, one independent epoch per row."""
         v = self.epoch_membranes(count)
-        return np.where(v > self.config.threshold, 1, -1).astype(np.int8)
+        return np.where(v > 0, 1, -1).astype(np.int8)
 
 
 class TrevisanCircuit:
     """Spectral-cut learner: free-running LIF stage feeding an anti-Hebbian vector.
 
-    Stage-one weights are c * (I + normalized adjacency), so the stationary
+    Stage-one weights are I + normalized adjacency, so the stationary
     membrane covariance is proportional to the square of that matrix, which
     shares its eigenvectors and in particular its minimum one. Membranes are
-    fed to the learner scaled by 1/(c sqrt(kappa)) to undo the stationary
+    fed to the learner scaled by 1/sqrt(kappa) to undo the stationary
     variance factor. The cut is the sign pattern of the learned vector.
     """
 
@@ -107,12 +101,10 @@ class TrevisanCircuit:
         self.seed = int(seed)
         tm = trevisan_matrix(graph)
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
-        self.pop = LifPopulation(config.trevisan_weight_scale * tm.matrix,
-                                 alpha=config.alpha, C=config.capacitance, dt=config.dt)
+        self.pop = LifPopulation(tm.matrix, alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
-        scale = 1.0 / (config.trevisan_weight_scale * np.sqrt(self.pop.kappa))
-        self.oja = OjaState.spherical_init(
-            graph.n, rng, eta0=config.eta0, tau=config.tau, input_scale=scale)
+        self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau,
+                                           input_scale=1.0 / np.sqrt(self.pop.kappa))
 
     @property
     def steps_taken(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import __version__
 from .bench import parse_config_file, run_experiment, summarize
-from .circuits import CircuitConfig, run_trajectory
+from .circuits import METHODS, CircuitConfig, run_trajectory
 from .graphs import generate_erdos_renyi, load_graph, save_graph
 from .oracles import brute_force_maxcut, spectral_cut
 from .plasticity import NumericalDivergenceError
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="sample cuts with one method and report checkpoints")
     _graph_args(p)
-    p.add_argument("--method", choices=["gw", "trevisan", "random"], required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank", type=int, default=_CIRCUIT.rank)

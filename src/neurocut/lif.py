@@ -12,15 +12,17 @@ _CHUNK = 64
 class LifPopulation:
     """n leaky integrate-and-fire units fed by r devices through a weight matrix.
 
-    Forward-Euler membrane update per step:
+    Membrane update per step:
 
-        V <- (1 - alpha) V + (dt / C) (W s),
+        V <- (1 - alpha) V + W s,
 
-    with alpha = dt / (R C) the leak per step. There is no spiking:
-    circuits read the membrane signs.
+    with alpha the leak per step. There is no spiking: circuits read the
+    membrane signs. Any positive factor on the drive would scale every
+    membrane by the same constant, which no sign read can see, so the drive
+    is W s itself.
     """
 
-    def __init__(self, weights, alpha: float = 0.05, C: float = 1.0, dt: float = 1.0):
+    def __init__(self, weights, alpha: float = 0.05):
         w = np.array(weights, dtype=float)
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array (units x devices)")
@@ -29,8 +31,6 @@ class LifPopulation:
             raise ValueError(f"leak factor alpha = {alpha} outside (0, 1); the Euler chain would not be stable")
         self.weights = w
         self.n, self.r = w.shape
-        self.C = float(C)
-        self.dt = float(dt)
         self.alpha = float(alpha)
         self.V = np.zeros(self.n)
         q = 1.0 - self.alpha
@@ -54,7 +54,7 @@ class LifPopulation:
         s = np.asarray(states, dtype=float)
         if s.shape == (self.r,):
             self.V *= 1.0 - self.alpha
-            self.V += (self.dt / self.C) * (self.weights @ s)
+            self.V += self.weights @ s
             return self.V
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"device states have shape {s.shape}, "
@@ -76,15 +76,14 @@ class LifPopulation:
         return self._integrate(s, np.zeros(self.n))
 
     def _integrate(self, states, v0) -> np.ndarray:
-        """(T, n) membranes of V_t = q V_{t-1} + (dt/C) W s_t from V_{-1} = v0.
+        """(T, n) membranes of V_t = q V_{t-1} + W s_t from V_{-1} = v0.
 
-        The drive D = (dt/C) S W^T is one GEMM. Each chunk of L <= _CHUNK rows
+        The drive D = S W^T is one GEMM. Each chunk of L <= _CHUNK rows
         is then closed-form: V = K D + q^(1..L) (outer) V_prev, with K the
         lower-triangular Toeplitz matrix of q^(i-j) and V_prev the membrane
         before the chunk.
         """
         drive = states @ self.weights.T
-        drive *= self.dt / self.C
         out = np.empty_like(drive)
         prev = v0
         for start in range(0, len(drive), _CHUNK):
@@ -97,10 +96,11 @@ class LifPopulation:
 
     @property
     def kappa(self) -> float:
-        """Stationary variance scale of the Euler chain per unit input variance:
-        (dt/C)^2 / (1 - (1-alpha)^2)."""
+        """Stationary variance scale of the chain per unit input variance:
+        1 / (1 - (1-alpha)^2). A factor c > 0 on the drive would scale it by
+        c^2, which the Trevisan learner's 1/sqrt(kappa) input scale cancels."""
         q = 1.0 - self.alpha
-        return (self.dt / self.C) ** 2 / (1.0 - q * q)
+        return 1.0 / (1.0 - q * q)
 
     def stationary_covariance(self, device_cov) -> np.ndarray:
         """Analytic stationary membrane covariance kappa * W Cov(s) W^T.

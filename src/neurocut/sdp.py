@@ -127,8 +127,13 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     cap first comes back flagged converged=False rather than raising, so
     callers can decide. iterations counts sweeps. An edgeless graph
     converges at once with f = 0. The vectors come back in vertex order.
+    A negative tol or max_iter is a ValueError; max_iter=0 returns the start.
     """
     cfg = config or SolverConfig()
+    if not cfg.tol >= 0:  # also NaN, which could never converge
+        raise ValueError(f"tol = {cfg.tol} must be >= 0")
+    if cfg.max_iter is not None and cfg.max_iter < 0:
+        raise ValueError(f"max_iter = {cfg.max_iter} must be >= 0")
     r = effective_rank(rank, g.n)
     rng = np.random.default_rng(cfg.seed)
     order, bounds = _colour_classes(g.adjacency)

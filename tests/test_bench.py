@@ -1,5 +1,7 @@
 import csv
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,13 @@ def test_diverging_method_keeps_other_methods_rows():
                          for m in ("lif-gw", "solver-rounding", "random")}
 
 
+def test_negative_solver_cap_fails_each_job():
+    res = run_experiment(tiny_config(circuit=CircuitConfig(sdp_max_iter=-1)))
+    assert res.rows == []
+    assert [gid for gid, _ in res.failures] == ["er-n10-p0.5-0", "er-n10-p0.5-1"]
+    assert all("max_iter = -1 must be >= 0" in message for _, message in res.failures)
+
+
 def test_validate_rejects_bad_config():
     with pytest.raises(ValueError):
         run_experiment(tiny_config(methods=("simulated-annealing",)))
@@ -150,6 +159,19 @@ def test_validate_rejects_bad_config():
     with pytest.raises(ValueError):
         ExperimentConfig(er_n=(13,), er_p=(0.5,)).validate()  # off-grid without flag
     ExperimentConfig(er_n=(13,), er_p=(0.5,), custom_grid=True).validate()
+
+
+@pytest.mark.parametrize("overrides, gid", [
+    (dict(er_n=(20, 20), er_p=(0.5,), er_graphs_per_cell=1), "er-n20-p0.5-0"),
+    (dict(er_n=(20,), er_p=(0.1, 0.1), er_graphs_per_cell=2), "er-n20-p0.1-0"),
+    (dict(er_n=(), er_p=(), graph_files=("a/g.mtx", "b/g.mtx")), "g"),
+    (dict(er_n=(20,), er_p=(0.5,), er_graphs_per_cell=1,
+          graph_files=("er-n20-p0.5-0.txt",)), "er-n20-p0.5-0"),
+], ids=["er_n", "er_p", "file-stem", "file-and-grid"])
+def test_validate_rejects_duplicate_graph_ids(overrides, gid):
+    # two jobs with one id would share seeds and overwrite each other's metadata
+    with pytest.raises(ValueError, match=f"duplicate graph id '{gid}'"):
+        ExperimentConfig(**overrides).validate()
 
 
 def test_known_grid_values_need_no_flag():
@@ -298,10 +320,20 @@ _EVERY_KEY = {
     "graph_files": ("a.mtx", "b.txt"), "methods": ("random", "solver-rounding"),
     "samples": 4096, "base_seed": 99, "out_dir": "results", "jobs": 2,
     "custom_grid": True, "self_test": True,
-    "alpha": 0.08, "dt": 0.5, "capacitance": 2.0, "threshold": 0.01, "epoch_steps": 60,
-    "gw_weight_scale": 1.5, "trevisan_weight_scale": 0.75, "eta0": 0.004, "tau": 3000.0,
+    "alpha": 0.08, "epoch_steps": 60, "eta0": 0.004, "tau": 3000.0,
     "rank": 3, "sdp_tol": 1e-05, "sdp_max_iter": 1500,
 }
+
+
+@pytest.mark.parametrize("key", ["dt", "capacitance", "threshold",
+                                 "gw_weight_scale", "trevisan_weight_scale"])
+def test_removed_circuit_keys_are_unknown(tmp_path, key):
+    # positive drive scales and a zero threshold cannot move a sign read,
+    # so these are no longer settable
+    p = tmp_path / "old.cfg"
+    p.write_text(f"samples = 64\n{key} = 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
+        parse_config_file(p)
 
 
 def test_parse_config_sets_every_field(tmp_path):
@@ -335,3 +367,24 @@ def test_scale_presets():
     assert full.jobs == 4
     desk.validate()
     full.validate()
+
+
+# the configs README.md shows, by the file name on each block's first line
+_README_CONFIGS = {
+    "desk.cfg": ExperimentConfig.desk_scale(jobs=2, out_dir="desk-results"),
+    "spot.cfg": ExperimentConfig(er_n=(), er_p=(), graph_files=("data/g14.mtx", "data/torus.txt"),
+                                 methods=("lif-gw",), out_dir="spot-results"),
+}
+
+
+def test_readme_example_configs_parse_to_their_presets(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    names = [re.match(r"# (\S+):", block).group(1) for block in blocks]
+    assert names == list(_README_CONFIGS)
+    for name, block in zip(names, blocks):
+        p = tmp_path / name
+        p.write_text(block, encoding="utf-8")
+        cfg = parse_config_file(p)
+        assert cfg == _README_CONFIGS[name], name
+        cfg.validate()

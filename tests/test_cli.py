@@ -127,6 +127,13 @@ def test_solve_sdp_warns_when_capped(k3_file, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
+def test_solve_sdp_negative_limits_exit_1(k3_file, capsys):
+    for flag, value in (("--max-iter", "-5"), ("--tol", "-1")):
+        assert main(["solve-sdp", k3_file, flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "must be >= 0" in err
+
+
 def test_run_gw_reaches_optimum(c4_file, capsys):
     assert main(["run", c4_file, "--method", "gw", "--samples", "64", "--seed", "1"]) == 0
     out = capsys.readouterr().out

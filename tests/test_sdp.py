@@ -188,6 +188,13 @@ def test_iteration_cap_flags_not_converged(petersen):
     assert sol.grad_norm > 1e-6
 
 
+@pytest.mark.parametrize("cfg", [SolverConfig(tol=-1.0), SolverConfig(tol=float("nan")),
+                                 SolverConfig(max_iter=-5)], ids=["tol", "tol-nan", "max_iter"])
+def test_negative_limits_rejected(k3, cfg):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        solve_gw_sdp(k3, config=cfg)
+
+
 def test_edgeless_graph_trivial_relaxation():
     sol = solve_gw_sdp(Graph(4, []))
     assert sol.objective == 0.0
