@@ -19,12 +19,12 @@ from .circuits import (METHODS, CircuitConfig, CutTrajectory, GwCircuit,
                        TrevisanCircuit, checkpoint_schedule, run_trajectory,
                        trajectory_from_sampler)
 from .devices import DevicePool
-from .graphs import (Graph, ParseError, TrevisanMatrix, cut_value, cut_values,
-                     generate_erdos_renyi, load_graph, save_graph, trevisan_matrix)
+from .graphs import (Graph, ParseError, cut_value, cut_values, generate_erdos_renyi,
+                     load_graph, save_graph, trevisan_matrix)
 from .lif import LifPopulation
-from .oracles import (EigenResult, MaxcutResult, SpectralCutResult, brute_force_maxcut,
-                      reference_hyperplane_rounds, spectral_cut, symmetric_eigen)
+from .oracles import (MaxcutResult, SpectralCutResult, brute_force_maxcut,
+                      reference_hyperplane_rounds, spectral_cut)
 from .plasticity import NumericalDivergenceError, OjaState
 from .sdp import (SdpSolution, SolverConfig, effective_rank, load_solution,
-                  normalize_rows, save_solution, sdp_objective, solve_gw_sdp)
+                  normalize_rows, sdp_objective, solve_gw_sdp)
 from .seeding import RNG_ALGORITHM, derive_seed

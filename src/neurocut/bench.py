@@ -410,7 +410,7 @@ def parse_config_file(path) -> ExperimentConfig:
             else:
                 raise ValueError(f"line {lineno}: unknown scale {value!r}")
     experiment: dict = {}
-    circuit: dict = {}
+    circuit = cfg.circuit
     for lineno, key, value in entries:
         try:
             if key == "scale":
@@ -418,9 +418,10 @@ def parse_config_file(path) -> ExperimentConfig:
             elif key in _EXPERIMENT_KEYS:
                 experiment[key] = _EXPERIMENT_KEYS[key](value)
             elif key in _CIRCUIT_KEYS:
-                circuit[key] = _CIRCUIT_KEYS[key](value)
+                # one key at a time, so a value CircuitConfig rejects names its line
+                circuit = replace(circuit, **{key: _CIRCUIT_KEYS[key](value)})
             else:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-    return replace(cfg, **experiment, circuit=replace(cfg.circuit, **circuit))
+    return replace(cfg, **experiment, circuit=circuit)

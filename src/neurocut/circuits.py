@@ -29,7 +29,11 @@ METHODS = ("gw", "trevisan", "random")
 
 @dataclass(frozen=True)
 class CircuitConfig:
-    """Circuit constants shared by both circuits and the benchmark harness."""
+    """Circuit constants shared by both circuits and the benchmark harness.
+
+    Out-of-range values raise ValueError on construction, so a bad config
+    fails before any job runs rather than in every job that uses it.
+    """
 
     alpha: float = 0.05          # membrane leak per step
     epoch_steps: int = 100       # integration steps per GW sample
@@ -38,6 +42,23 @@ class CircuitConfig:
     rank: int = 4
     sdp_tol: float = 1e-6
     sdp_max_iter: int | None = None
+
+    def __post_init__(self):
+        # comparisons written so that NaN fails them
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha = {self.alpha} outside (0, 1)")
+        if self.epoch_steps < 1:
+            raise ValueError(f"epoch_steps = {self.epoch_steps} must be >= 1")
+        if not self.eta0 > 0:
+            raise ValueError(f"eta0 = {self.eta0} must be positive")
+        if not self.tau > 0:
+            raise ValueError(f"tau = {self.tau} must be positive")
+        if self.rank < 2:
+            raise ValueError(f"rank = {self.rank} must be >= 2")
+        if not self.sdp_tol >= 0:
+            raise ValueError(f"sdp_tol = {self.sdp_tol} must be >= 0")
+        if self.sdp_max_iter is not None and self.sdp_max_iter < 0:
+            raise ValueError(f"sdp_max_iter = {self.sdp_max_iter} must be >= 0")
 
 
 class GwCircuit:
@@ -53,8 +74,6 @@ class GwCircuit:
                  config: CircuitConfig = CircuitConfig()):
         if solution.vectors.shape[0] != graph.n:
             raise ValueError("solution size does not match the graph")
-        if config.epoch_steps < 1:
-            raise ValueError("epoch_steps must be positive")
         self.graph = graph
         self.solution = solution
         self.config = config
@@ -88,31 +107,22 @@ class GwCircuit:
 class TrevisanCircuit:
     """Spectral-cut learner: free-running LIF stage feeding an anti-Hebbian vector.
 
-    Stage-one weights are I + normalized adjacency, so the stationary
-    membrane covariance is proportional to the square of that matrix, which
-    shares its eigenvectors and in particular its minimum one. Membranes are
-    fed to the learner scaled by 1/sqrt(kappa) to undo the stationary
-    variance factor. The cut is the sign pattern of the learned vector.
+    Stage-one weights are M sqrt(1 - q^2), with M = I + normalized adjacency
+    and q = 1 - alpha. That factor is 1/sqrt(kappa), so the stationary
+    membrane covariance is M^2 itself: the membranes reach the learner at
+    unit scale, and M^2 shares the eigenvectors of M, in particular its
+    minimum one. The cut is the sign pattern of the learned vector.
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
         self.graph = graph
         self.config = config
         self.seed = int(seed)
-        tm = trevisan_matrix(graph)
+        q = 1.0 - config.alpha
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
-        self.pop = LifPopulation(tm.matrix, alpha=config.alpha)
+        self.pop = LifPopulation(trevisan_matrix(graph) * np.sqrt(1.0 - q * q), alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
-        self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau,
-                                           input_scale=1.0 / np.sqrt(self.pop.kappa))
-
-    @property
-    def steps_taken(self) -> int:
-        return self.oja.t
-
-    def step(self) -> None:
-        """One device draw, one membrane update, one plasticity update: run_steps(1)."""
-        self.run_steps(1)
+        self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
 
     def run_steps(self, count: int) -> None:
         """Advance count steps, one device block of up to _BATCH draws at a time.
@@ -153,10 +163,6 @@ class CutTrajectory:
     seed: int
     checkpoints: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
-
-    @property
-    def final_best(self) -> int:
-        return self.checkpoints[-1][1]
 
 
 def checkpoint_schedule(total_samples: int) -> list:

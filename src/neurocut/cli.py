@@ -94,7 +94,8 @@ def _load(args):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    # an empty --out is a path open() rejects, not a request for stdout
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

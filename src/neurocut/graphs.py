@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,23 +128,18 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.column_stack([iu[mask], iv[mask]]))
 
 
-@dataclass(frozen=True)
-class TrevisanMatrix:
-    """I + D^{-1/2} A D^{-1/2}; rows/cols of degree-0 vertices carry only the identity part."""
+def trevisan_matrix(g: Graph) -> np.ndarray:
+    """I + D^{-1/2} A D^{-1/2}, spectrum in [0, 2].
 
-    matrix: np.ndarray
-    isolated: np.ndarray  # bool mask, True where degree == 0
-
-
-def trevisan_matrix(g: Graph) -> TrevisanMatrix:
-    """Identity plus the symmetrically normalized adjacency; spectrum in [0, 2]."""
+    Rows and columns of degree-0 vertices carry only the identity part.
+    """
     deg = g.degrees.astype(float)
     isolated = deg == 0
     inv_sqrt = np.zeros(g.n)
     inv_sqrt[~isolated] = 1.0 / np.sqrt(deg[~isolated])
     mat = g.adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
     mat += np.eye(g.n)
-    return TrevisanMatrix(mat, isolated)
+    return mat
 
 
 def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:

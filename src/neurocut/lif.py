@@ -97,8 +97,9 @@ class LifPopulation:
     @property
     def kappa(self) -> float:
         """Stationary variance scale of the chain per unit input variance:
-        1 / (1 - (1-alpha)^2). A factor c > 0 on the drive would scale it by
-        c^2, which the Trevisan learner's 1/sqrt(kappa) input scale cancels."""
+        1 / (1 - (1-alpha)^2). A factor c > 0 on the drive scales the
+        stationary covariance by c^2, so TrevisanCircuit multiplies its weights
+        by 1/sqrt(kappa) to bring its membranes to unit scale."""
         q = 1.0 - self.alpha
         return 1.0 / (1.0 - q * q)
 

@@ -58,25 +58,6 @@ def brute_force_maxcut(g: Graph) -> MaxcutResult:
 
 
 @dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues ascending; eigenvectors[:, k] pairs with eigenvalues[k]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def symmetric_eigen(matrix) -> EigenResult:
-    """Full eigendecomposition of a real symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and float(np.max(np.abs(m - m.T))) > 1e-10:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(m)
-    return EigenResult(vals, vecs)
-
-
-@dataclass(frozen=True)
 class SpectralCutResult:
     labels: np.ndarray
     degenerate: bool
@@ -91,13 +72,11 @@ def spectral_cut(g: Graph, gap_tol: float = 1e-8) -> SpectralCutResult:
     eigenvalue of multiplicity > 1 within gap_tol; the returned cut then uses
     one arbitrary eigenvector from the bottom eigenspace.
     """
-    tm = trevisan_matrix(g)
-    eig = symmetric_eigen(tm.matrix)
-    u = eig.eigenvectors[:, 0]
-    degenerate = g.n > 1 and float(eig.eigenvalues[1] - eig.eigenvalues[0]) <= gap_tol
-    labels = np.where(u > 0, 1, -1).astype(np.int8)
-    labels[tm.isolated] = -1
-    return SpectralCutResult(labels, degenerate, float(eig.eigenvalues[0]))
+    vals, vecs = np.linalg.eigh(trevisan_matrix(g))
+    degenerate = g.n > 1 and float(vals[1] - vals[0]) <= gap_tol
+    labels = np.where(vecs[:, 0] > 0, 1, -1).astype(np.int8)
+    labels[g.degrees == 0] = -1
+    return SpectralCutResult(labels, degenerate, float(vals[0]))
 
 
 def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,19 +23,19 @@ class OjaState:
 
     whose stable fixed points are unit minimum-eigenvectors of the input
     covariance. The learning rate anneals as eta_t = eta0 / (1 + t / tau).
-    Inputs are multiplied by input_scale before use, which lets a caller
-    normalize away a known variance scale of the raw signal.
+    Inputs are used as given, and eta0 and tau are meant for inputs at unit
+    covariance scale: a caller whose signal carries a known variance factor
+    removes it upstream (TrevisanCircuit folds it into its LIF weights).
     """
 
-    def __init__(self, w, eta0: float = 5e-3, tau: float = 1e5, input_scale: float = 1.0):
-        if eta0 <= 0 or tau <= 0 or input_scale <= 0:
-            raise ValueError("eta0, tau and input_scale must be positive")
+    def __init__(self, w, eta0: float = 5e-3, tau: float = 1e5):
+        if eta0 <= 0 or tau <= 0:
+            raise ValueError("eta0 and tau must be positive")
         self.w = np.array(w, dtype=float)
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")
         self.eta0 = float(eta0)
         self.tau = float(tau)
-        self.input_scale = float(input_scale)
         self.t = 0
         self._wnorm2 = float(self.w @ self.w)
 
@@ -82,8 +82,6 @@ class OjaState:
         if not block and x.shape != self.w.shape:
             raise ValueError(f"input has shape {x.shape}, "
                              f"expected {self.w.shape} or (b, {len(self.w)})")
-        if self.input_scale != 1.0:
-            x = self.input_scale * x
         if block:
             for start in range(0, len(x), _SUB):
                 self._update_gram(x[start:start + _SUB])
@@ -101,7 +99,7 @@ class OjaState:
         return w
 
     def _update_gram(self, x) -> None:
-        """Sequential updates by the rows of x (already input-scaled), in Gram form."""
+        """Sequential updates by the rows of x, in Gram form."""
         w = self.w
         p = (x @ w).tolist()
         gram = (x @ x.T).tolist()

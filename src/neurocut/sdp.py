@@ -169,14 +169,8 @@ def format_solution(solution: SdpSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_solution(solution: SdpSolution, path) -> None:
-    """Write format_solution(solution) to path."""
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write(format_solution(solution))
-
-
 def load_solution(path) -> SdpSolution:
-    """Inverse of save_solution. Solver diagnostics are not serialized, so the
+    """Read a file holding format_solution text. Solver diagnostics are not serialized, so the
     loaded solution carries grad_norm=None, iterations=None, converged=True."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]

@@ -142,11 +142,14 @@ def test_diverging_method_keeps_other_methods_rows():
                          for m in ("lif-gw", "solver-rounding", "random")}
 
 
-def test_negative_solver_cap_fails_each_job():
-    res = run_experiment(tiny_config(circuit=CircuitConfig(sdp_max_iter=-1)))
-    assert res.rows == []
-    assert [gid for gid, _ in res.failures] == ["er-n10-p0.5-0", "er-n10-p0.5-1"]
-    assert all("max_iter = -1 must be >= 0" in message for _, message in res.failures)
+def test_negative_solver_cap_fails_each_job(tmp_path):
+    # rejected when the config is built, so no job starts with it
+    with pytest.raises(ValueError, match="sdp_max_iter = -1 must be >= 0"):
+        tiny_config(circuit=CircuitConfig(sdp_max_iter=-1))
+    p = tmp_path / "cap.cfg"
+    p.write_text("samples = 8\nsdp_max_iter = -1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: sdp_max_iter = -1 must be >= 0"):
+        parse_config_file(p)
 
 
 def test_validate_rejects_bad_config():

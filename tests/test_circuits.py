@@ -21,11 +21,9 @@ from neurocut import (
     run_trajectory,
     solve_gw_sdp,
     spectral_cut,
-    symmetric_eigen,
     trajectory_from_sampler,
     trevisan_matrix,
 )
-from neurocut.circuits import CutTrajectory
 
 
 # --- GW circuit -------------------------------------------------------------
@@ -83,8 +81,21 @@ def test_gw_validates_solution_size(k3, c4):
     sol = solve_gw_sdp(k3)
     with pytest.raises(ValueError):
         GwCircuit(c4, sol, seed=0)
-    with pytest.raises(ValueError):
-        GwCircuit(k3, sol, seed=0, config=CircuitConfig(epoch_steps=0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
+    ("epoch_steps", 0), ("eta0", 0.0), ("eta0", float("nan")), ("tau", -1.0),
+    ("rank", 1), ("sdp_tol", -1e-9), ("sdp_tol", float("nan")), ("sdp_max_iter", -1),
+])
+def test_circuit_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        CircuitConfig(**{field: value})
+
+
+def test_circuit_config_accepts_boundary_values():
+    CircuitConfig(epoch_steps=1, rank=2, sdp_tol=0.0, sdp_max_iter=0)
+    assert CircuitConfig(sdp_max_iter=None).sdp_max_iter is None
 
 
 # --- Trevisan circuit -------------------------------------------------------
@@ -104,7 +115,7 @@ def test_trevisan_c4_sign_pattern(c4):
 
 def assert_same_learner(a, b, rel=1e-12):
     """Weights and membranes within rel of b's largest entry, and the same cut."""
-    assert a.steps_taken == b.steps_taken
+    assert a.oja.t == b.oja.t
     for x, y in ((a.oja.w, b.oja.w), (a.pop.V, b.pop.V)):
         assert np.max(np.abs(x - y)) <= rel * np.max(np.abs(y))
     assert np.array_equal(a.read_cut(), b.read_cut())
@@ -115,9 +126,9 @@ def test_trevisan_step_equals_run_steps(k3):
     a = TrevisanCircuit(k3, seed=4)
     b = TrevisanCircuit(k3, seed=4)
     for _ in range(50):
-        a.step()
+        a.run_steps(1)
     b.run_steps(50)
-    assert a.steps_taken == b.steps_taken == 50
+    assert a.oja.t == b.oja.t == 50
     assert_same_learner(a, b)
 
 
@@ -156,10 +167,9 @@ def _vector_divergence_step(circ, steps):
     wnorm2 = float(w @ w)
     for t, s in enumerate(circ.pool.sample_steps(steps)):
         v = q * v + pop.weights @ s
-        x = oja.input_scale * v
-        y = float(w @ x)
+        y = float(w @ v)
         eta = oja.eta0 / (1.0 + t / oja.tau)
-        w = w * (1.0 + eta * (y * y + 1.0 - wnorm2)) - (eta * y) * x
+        w = w * (1.0 + eta * (y * y + 1.0 - wnorm2)) - (eta * y) * v
         wnorm2 = float(w @ w)
         if not np.isfinite(wnorm2):
             return t + 1
@@ -177,7 +187,7 @@ def test_trevisan_full_scale_divergence_step_matches_vector_loop(seed):
     circ = TrevisanCircuit(g, seed, cfg)
     with pytest.raises(NumericalDivergenceError, match=f"after {want} updates "):
         circ.run_steps(256)
-    assert circ.steps_taken == want
+    assert circ.oja.t == want
 
 
 def test_trevisan_read_cut_tie_convention(k3):
@@ -197,7 +207,7 @@ def test_trevisan_divergence_propagates(k3):
 
 def test_trevisan_divergence_raises_no_ieee_warning(k3):
     # overflow on the way to a divergence is reported by the exception alone
-    for advance in (lambda c: c.run_steps(5000), lambda c: [c.step() for _ in range(5000)]):
+    for advance in (lambda c: c.run_steps(5000), lambda c: [c.run_steps(1) for _ in range(5000)]):
         circ = TrevisanCircuit(k3, seed=2, config=CircuitConfig(eta0=1e6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -206,24 +216,27 @@ def test_trevisan_divergence_raises_no_ieee_warning(k3):
 
 
 def test_trevisan_input_scale_undoes_stationary_variance(petersen):
+    # the 1/sqrt(kappa) input scale sits in the LIF weights, so the membranes
+    # reach the learner with stationary covariance M^2, not kappa M^2
     circ = TrevisanCircuit(petersen, seed=0)
-    kappa = circ.pop.kappa
-    assert circ.oja.input_scale == pytest.approx(1.0 / np.sqrt(kappa))
+    m = trevisan_matrix(petersen)
+    cov = circ.pop.stationary_covariance(circ.pool.covariance())
+    assert np.max(np.abs(cov - m @ m)) <= 1e-12
 
 
 @given(st.integers(2, 24), st.integers(0, 2 ** 31))
 @settings(max_examples=25, deadline=None)
 def test_squared_matrix_shares_minimum_eigenvector(n, seed):
-    # the stationary covariance is proportional to the squared Trevisan
-    # matrix; squaring keeps eigenvectors and, on a [0, 2] spectrum, the
-    # position of the minimum eigenvalue
+    # the stationary covariance is the squared Trevisan matrix; squaring
+    # keeps eigenvectors and, on a [0, 2] spectrum, the position of the
+    # minimum eigenvalue
     g = generate_erdos_renyi(n, 0.4, seed)
-    m = trevisan_matrix(g).matrix
-    em = symmetric_eigen(m)
-    e2 = symmetric_eigen(m @ m)
-    if em.eigenvalues[1] - em.eigenvalues[0] <= 1e-8:
+    m = trevisan_matrix(g)
+    vals, vecs = np.linalg.eigh(m)
+    vecs2 = np.linalg.eigh(m @ m)[1]
+    if vals[1] - vals[0] <= 1e-8:
         return  # degenerate bottom space: individual vectors not comparable
-    u, v = em.eigenvectors[:, 0], e2.eigenvectors[:, 0]
+    u, v = vecs[:, 0], vecs2[:, 0]
     assert abs(float(u @ v)) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -251,14 +264,9 @@ def test_trajectory_from_sampler_draw_budget(k3):
     assert len(traj.wall_times) == 7
 
 
-def test_trajectory_final_best_property():
-    traj = CutTrajectory("g", "random", 0, checkpoints=[(1, 3), (2, 5)])
-    assert traj.final_best == 5
-
-
 def test_run_trajectory_random_k3(k3):
     traj = run_trajectory("random", k3, 2 ** 10, seed=123)
-    assert traj.final_best == 2
+    assert traj.checkpoints[-1][1] == 2
     assert traj.method == "random"
     bests = [b for _, b in traj.checkpoints]
     assert bests == sorted(bests)
@@ -266,7 +274,7 @@ def test_run_trajectory_random_k3(k3):
 
 def test_run_trajectory_gw_c4(c4):
     traj = run_trajectory("gw", c4, 256, seed=5)
-    assert traj.final_best == 4
+    assert traj.checkpoints[-1][1] == 4
 
 
 def test_run_trajectory_gw_accepts_presolved(c4):
@@ -279,7 +287,7 @@ def test_run_trajectory_gw_accepts_presolved(c4):
 def test_run_trajectory_trevisan_reads_at_checkpoints(c4):
     traj = run_trajectory("trevisan", c4, 2 ** 12, seed=11)
     assert [s for s, _ in traj.checkpoints] == [2 ** k for k in range(13)]
-    assert traj.final_best == 4
+    assert traj.checkpoints[-1][1] == 4
     bests = [b for _, b in traj.checkpoints]
     assert bests == sorted(bests)
 
@@ -302,6 +310,6 @@ def test_gw_median_best_dominates_random():
     gw_b, rd_b = [], []
     for k in range(10):
         g = generate_erdos_renyi(30, 0.25, 1000 + k)
-        gw_b.append(run_trajectory("gw", g, 2 ** 14, seed=k).final_best)
-        rd_b.append(run_trajectory("random", g, 2 ** 14, seed=k).final_best)
+        gw_b.append(run_trajectory("gw", g, 2 ** 14, seed=k).checkpoints[-1][1])
+        rd_b.append(run_trajectory("random", g, 2 ** 14, seed=k).checkpoints[-1][1])
     assert np.median(gw_b) >= np.median(rd_b)

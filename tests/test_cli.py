@@ -182,6 +182,31 @@ def test_bench_missing_config_exits_1(tmp_path):
     assert main(["bench", "--config", str(tmp_path / "none.cfg")]) == 1
 
 
+def test_bench_out_of_range_circuit_value_exits_1(tmp_path, capsys):
+    # rejected before any job runs, naming the line, instead of one
+    # 'failed' line per job and exit 0
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
+                   "custom_grid = true\nalpha = 1.5\n", encoding="utf-8")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "error: line 6: alpha = 1.5 outside (0, 1)" in captured.err
+    assert "failed" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["gen-er", "-n", "5", "-p", "0.5"],
+                                  ["solve-sdp", "K3"],
+                                  ["run", "K3", "--method", "random", "--samples", "4"]],
+                         ids=["gen-er", "solve-sdp", "run"])
+def test_empty_out_path_exits_1(argv, k3_file, capsys):
+    # an empty --out names no file; it does not mean stdout
+    argv = [k3_file if a == "K3" else a for a in argv]
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bench_bad_config_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     # an unknown key, and 'none' for a field that is not optional

@@ -15,7 +15,6 @@ from neurocut import (
     save_graph,
     trevisan_matrix,
 )
-from neurocut.oracles import symmetric_eigen
 
 
 # --- construction -----------------------------------------------------------
@@ -156,8 +155,8 @@ def test_er_density_sane():
 
 def test_trevisan_matrix_spectrum_bounds(petersen):
     tm = trevisan_matrix(petersen)
-    assert np.allclose(tm.matrix, tm.matrix.T)
-    vals = symmetric_eigen(tm.matrix).eigenvalues
+    assert np.allclose(tm, tm.T)
+    vals = np.linalg.eigvalsh(tm)
     assert vals[0] >= -1e-9
     assert vals[-1] <= 2.0 + 1e-9
 
@@ -166,25 +165,23 @@ def test_trevisan_matrix_spectrum_bounds(petersen):
 @settings(max_examples=40, deadline=None)
 def test_trevisan_matrix_spectrum_bounds_random(n, seed):
     g = generate_erdos_renyi(n, 0.3, seed)
-    tm = trevisan_matrix(g)
-    vals = symmetric_eigen(tm.matrix).eigenvalues
+    vals = np.linalg.eigvalsh(trevisan_matrix(g))
     assert vals[0] >= -1e-9
     assert vals[-1] <= 2.0 + 1e-9
-    assert tm.isolated.tolist() == [d == 0 for d in g.degrees]
 
 
 def test_trevisan_matrix_isolated_rows():
     g = Graph(3, [(0, 1)])
     tm = trevisan_matrix(g)
-    assert tm.isolated.tolist() == [False, False, True]
-    # isolated vertex row carries only the identity part
-    assert np.array_equal(tm.matrix[2], [0.0, 0.0, 1.0])
-    assert tm.matrix[0, 1] == pytest.approx(1.0)  # 1/sqrt(1*1)
+    # isolated vertex row and column carry only the identity part
+    assert np.array_equal(tm[2], [0.0, 0.0, 1.0])
+    assert np.array_equal(tm[:, 2], [0.0, 0.0, 1.0])
+    assert tm[0, 1] == pytest.approx(1.0)  # 1/sqrt(1*1)
 
 
 def test_trevisan_matrix_k3_entries(k3):
     tm = trevisan_matrix(k3)
-    assert np.allclose(tm.matrix, np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3)))
+    assert np.allclose(tm, np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3)))
 
 
 # --- edge-list ingestion ----------------------------------------------------

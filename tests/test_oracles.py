@@ -12,8 +12,6 @@ from neurocut import (
     generate_erdos_renyi,
     reference_hyperplane_rounds,
     spectral_cut,
-    symmetric_eigen,
-    trevisan_matrix,
 )
 from neurocut.oracles import ENUM_LIMIT
 
@@ -78,42 +76,6 @@ def test_block_boundary_exercised():
     res = brute_force_maxcut(g)
     assert cut_value(g, res.labels) == res.value
     assert res.value >= g.m // 2  # any graph cuts at least half its edges
-
-
-# --- eigensolver ------------------------------------------------------------
-
-def test_eigen_diagonal():
-    res = symmetric_eigen(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(res.eigenvalues, [-1.0, 2.0, 3.0])
-
-
-def test_eigen_residuals_and_orthogonality(petersen):
-    m = trevisan_matrix(petersen).matrix
-    res = symmetric_eigen(m)
-    assert np.all(np.diff(res.eigenvalues) >= -1e-12)
-    for k in range(m.shape[0]):
-        lam, u = res.eigenvalues[k], res.eigenvectors[:, k]
-        assert np.linalg.norm(m @ u - lam * u) <= 1e-8 * max(1.0, abs(lam))
-    gram = res.eigenvectors.T @ res.eigenvectors
-    assert np.max(np.abs(gram - np.eye(m.shape[0]))) <= 1e-8
-
-
-def test_eigen_rejects_bad_input():
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        symmetric_eigen([[0.0, 1.0], [0.0, 0.0]])
-
-
-@given(st.integers(1, 12), st.integers(0, 2 ** 31))
-@settings(max_examples=30, deadline=None)
-def test_eigen_random_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    m = a + a.T
-    res = symmetric_eigen(m)
-    assert np.allclose(res.eigenvectors @ np.diag(res.eigenvalues) @ res.eigenvectors.T, m,
-                       atol=1e-8)
 
 
 # --- spectral cut -----------------------------------------------------------

@@ -12,11 +12,10 @@ from neurocut import (
     generate_erdos_renyi,
     load_solution,
     normalize_rows,
-    save_solution,
     sdp_objective,
     solve_gw_sdp,
 )
-from neurocut.sdp import _colour_classes
+from neurocut.sdp import _colour_classes, format_solution
 
 
 def test_effective_rank_clamps_tiny_graphs():
@@ -221,7 +220,7 @@ def test_objective_bounded_by_edge_count(n, seed):
 def test_save_load_round_trip(tmp_path, petersen):
     sol = solve_gw_sdp(petersen)
     path = tmp_path / "sol.txt"
-    save_solution(sol, path)
+    path.write_text(format_solution(sol), encoding="utf-8")
     back = load_solution(path)
     assert np.array_equal(back.vectors, sol.vectors)  # 17 digits: exact float64
     assert back.objective == sol.objective
