@@ -68,6 +68,11 @@ class GwCircuit:
     draws, and reads the membrane signs as a cut. Over an epoch the
     membrane covariance is proportional to the Gram matrix of the relaxation
     vectors, so the sign reads reproduce hyperplane-rounding statistics.
+
+    The epoch is integrated in closed form: its end membrane is W d, where
+    d sums each device's states weighted by the leak left after them. The
+    devices come bit-packed (DevicePool.sample_epochs), so d is a sum of
+    one table lookup per byte of 8 steps, and no ±1 array is formed.
     """
 
     def __init__(self, graph: Graph, solution: SdpSolution, seed: int,
@@ -82,8 +87,13 @@ class GwCircuit:
         self.pop = LifPopulation(solution.vectors, alpha=config.alpha)
         k = config.epoch_steps
         q = 1.0 - self.pop.alpha
-        # closed-form weight of draw j in the end-of-epoch membrane, j = 0..k-1
-        self._decay = q ** np.arange(k - 1, -1, -1)
+        # closed-form weight of step t in the end-of-epoch membrane, t = 0..k-1,
+        # zero past k so the last byte's spare bits add nothing
+        decay = np.zeros(-(-k // 8) * 8)
+        decay[:k] = q ** np.arange(k - 1, -1, -1)
+        # _table[j, v] = sum_t decay[8j + t] * (2 bit_t(v) - 1): byte j's share of d
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+        self._table = decay.reshape(-1, 8) @ (2.0 * bits.T - 1.0)
 
     def epoch_membranes(self, count: int) -> np.ndarray:
         """(count, n) end-of-epoch membrane vectors, one reset epoch per row."""
@@ -92,16 +102,15 @@ class GwCircuit:
         done = 0
         while done < count:
             b = min(_BATCH, count - done)
-            states = self.pool.sample_steps(b * k).reshape(b, k, self.pool.count)
-            drive = np.einsum("k,bkr->br", self._decay, states)
-            out[done:done + b] = drive @ self.pop.weights.T
+            codes = self.pool.sample_epochs(b, k)
+            drive = sum(row.take(codes[..., j]) for j, row in enumerate(self._table))
+            np.matmul(drive, self.pop.weights.T, out=out[done:done + b])
             done += b
         return out
 
     def sample_cuts(self, count: int) -> np.ndarray:
         """(count, n) array of ±1 labels, one independent epoch per row."""
-        v = self.epoch_membranes(count)
-        return np.where(v > 0, 1, -1).astype(np.int8)
+        return np.where(self.epoch_membranes(count) > 0, np.int8(1), np.int8(-1))
 
 
 class TrevisanCircuit:

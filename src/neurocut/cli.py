@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import __version__
@@ -93,13 +94,19 @@ def _load(args):
     return load_graph(args.graph, args.graph_format, args.zero_indexed)
 
 
-def _emit(args, text: str) -> None:
+@contextmanager
+def _output(args):
+    """The --out file opened for writing, or stdout.
+
+    Commands enter it before their work, so a path that cannot be written
+    fails before a solve or a trajectory is paid for.
+    """
     # an empty --out is a path open() rejects, not a request for stdout
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if args.out is None:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _labels_line(labels) -> str:
@@ -108,22 +115,20 @@ def _labels_line(labels) -> str:
 
 def cmd_gen_er(args) -> int:
     g = generate_erdos_renyi(args.n, args.p, args.seed)
-    import io
-
-    buf = io.StringIO()
-    save_graph(g, buf, args.format)
-    _emit(args, buf.getvalue())
+    with _output(args) as out:
+        save_graph(g, out, args.format)
     return EXIT_OK
 
 
 def cmd_solve_sdp(args) -> int:
     g = _load(args)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-    sol = solve_gw_sdp(g, args.rank, cfg)
-    if not sol.converged:
-        print(f"warning: not converged (grad_norm={sol.grad_norm:.3e} "
-              f"after {sol.iterations} iterations)", file=sys.stderr)
-    _emit(args, format_solution(sol))
+    with _output(args) as out:
+        sol = solve_gw_sdp(g, args.rank, cfg)
+        if not sol.converged:
+            print(f"warning: not converged (grad_norm={sol.grad_norm:.3e} "
+                  f"after {sol.iterations} iterations)", file=sys.stderr)
+        out.write(format_solution(sol))
     return EXIT_OK
 
 
@@ -131,11 +136,12 @@ def cmd_run(args) -> int:
     g = _load(args)
     circuit = CircuitConfig(alpha=args.alpha, epoch_steps=args.epoch_steps,
                             eta0=args.eta0, tau=args.tau, rank=args.rank)
-    traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
-                          graph_id=args.graph)
-    lines = [f"# method={args.method} seed={args.seed} samples={args.samples}"]
-    lines += [f"{s} {best}" for s, best in traj.checkpoints]
-    _emit(args, "\n".join(lines) + "\n")
+    with _output(args) as out:
+        traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
+                              graph_id=args.graph)
+        lines = [f"# method={args.method} seed={args.seed} samples={args.samples}"]
+        lines += [f"{s} {best}" for s, best in traj.checkpoints]
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -29,8 +29,11 @@ class OjaState:
     """
 
     def __init__(self, w, eta0: float = 5e-3, tau: float = 1e5):
-        if eta0 <= 0 or tau <= 0:
-            raise ValueError("eta0 and tau must be positive")
+        # comparisons written so that NaN fails them
+        if not eta0 > 0:
+            raise ValueError(f"eta0 = {eta0} must be positive")
+        if not tau > 0:
+            raise ValueError(f"tau = {tau} must be positive")
         self.w = np.array(w, dtype=float)
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")

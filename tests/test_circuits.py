@@ -9,9 +9,11 @@ from neurocut import (
     CircuitConfig,
     DevicePool,
     ExperimentConfig,
+    Graph,
     GwCircuit,
     LifPopulation,
     NumericalDivergenceError,
+    SdpSolution,
     SolverConfig,
     TrevisanCircuit,
     checkpoint_schedule,
@@ -58,14 +60,33 @@ def test_gw_epoch_matches_explicit_step_loop(c4):
     cfg = CircuitConfig()
     circ = GwCircuit(c4, sol, seed=7, config=cfg)
     membranes = circ.epoch_membranes(3)
-    # replay: same device stream through the step recurrence, reset per epoch
-    pool = DevicePool(sol.rank, seed=7)
+    # replay: the same bit-packed epochs, unpacked to ±1 and fed through the
+    # step recurrence one state at a time, reset per epoch
+    bits = np.unpackbits(DevicePool(sol.rank, seed=7).sample_epochs(3, cfg.epoch_steps),
+                         axis=2, count=cfg.epoch_steps, bitorder="little")
     pop = LifPopulation(sol.vectors, alpha=cfg.alpha)
     for epoch in range(3):
         pop.reset()
-        for s in pool.sample_steps(cfg.epoch_steps):
+        for s in 2.0 * bits[epoch].T - 1.0:
             v = pop.step(s)
         assert np.allclose(membranes[epoch], v, atol=1e-10)
+
+
+@given(st.integers(1, 130), st.integers(2, 6), st.floats(0.01, 0.9), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_gw_epoch_equals_decay_weighted_unpacked_bits(k, r, alpha, seed):
+    n = 5
+    vectors = np.random.default_rng(seed).standard_normal((n, r))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    sol = SdpSolution(vectors, rank=r, objective=0.0, grad_norm=None, iterations=None,
+                      converged=True)
+    circ = GwCircuit(Graph(n, []), sol, seed, CircuitConfig(alpha=alpha, epoch_steps=k))
+    membranes = circ.epoch_membranes(9)
+    bits = np.unpackbits(DevicePool(r, seed=seed).sample_epochs(9, k), axis=2, count=k,
+                         bitorder="little")
+    decay = (1.0 - alpha) ** np.arange(k - 1, -1, -1)
+    expected = (2.0 * bits - 1.0) @ decay @ vectors.T
+    assert np.max(np.abs(membranes - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_gw_samples_are_stream_split_invariant(c4):

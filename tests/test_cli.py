@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from neurocut import load_graph, load_solution
+from neurocut import cli, load_graph, load_solution
 from neurocut.cli import main
 
 K3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
@@ -205,6 +205,21 @@ def test_empty_out_path_exits_1(argv, k3_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["solve-sdp", "K3"], "solve_gw_sdp"),
+    (["run", "K3", "--method", "random", "--samples", "4"], "run_trajectory"),
+], ids=["solve-sdp", "run"])
+def test_unwritable_out_fails_before_the_work(argv, work, k3_file, tmp_path, monkeypatch,
+                                              capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was opened")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    argv = [k3_file if a == "K3" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "x.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_bad_config_key_exits_1(tmp_path, capsys):

@@ -62,3 +62,61 @@ def test_stream_is_pure_function_of_seed_and_position(count, seed, k):
     b = DevicePool(count, seed=seed)
     b.sample_steps(k)
     assert np.array_equal(a.sample_steps(1), b.sample_steps(1))
+
+
+# --- bit-packed epochs --------------------------------------------------------
+
+def test_epochs_are_split_invariant():
+    whole = DevicePool(3, seed=11).sample_epochs(8, 21)
+    pool = DevicePool(3, seed=11)
+    parts = np.concatenate([pool.sample_epochs(3, 21), pool.sample_epochs(5, 21)])
+    pool = DevicePool(3, seed=11)
+    singles = np.concatenate([pool.sample_epochs(1, 21) for _ in range(8)])
+    assert whole.shape == (8, 3, 3) and whole.dtype == np.uint8
+    assert np.array_equal(whole, parts)
+    assert np.array_equal(whole, singles)
+
+
+@pytest.mark.parametrize("count, steps", [(1, 1), (3, 21), (4, 100), (5, 64), (2, 130)])
+def test_epoch_bytes_are_the_generator_words(count, steps):
+    # each epoch takes whole 64-bit words, reads its count * width bytes from
+    # them in little-endian order, device-major, and drops the rest
+    width = (steps + 7) // 8
+    per_epoch = (count * width + 7) // 8
+    epochs = 6
+    words = np.random.default_rng(23).bit_generator.random_raw(epochs * per_epoch)
+    expected = np.empty((epochs, count, width), dtype=np.uint8)
+    for e in range(epochs):
+        stream = b"".join(int(w).to_bytes(8, "little")
+                          for w in words[e * per_epoch:(e + 1) * per_epoch])
+        for d in range(count):
+            expected[e, d] = list(stream[d * width:(d + 1) * width])
+    assert np.array_equal(DevicePool(count, seed=23).sample_epochs(epochs, steps), expected)
+
+
+def test_epoch_bits_are_fair_at_every_position():
+    epochs, steps = 5000, 16
+    bits = np.unpackbits(DevicePool(4, seed=5).sample_epochs(epochs, steps), axis=2,
+                         bitorder="little")
+    freq = bits.mean(axis=0)  # one frequency per (device, step)
+    se = 0.5 / np.sqrt(epochs)
+    assert freq.shape == (4, steps)
+    assert np.all(np.abs(freq - 0.5) < 4 * se)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, "3", None, float("nan")])
+def test_non_integer_sizes_are_rejected(value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DevicePool(value)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DevicePool(2).sample_epochs(value, 8)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DevicePool(2).sample_epochs(4, value)
+
+
+def test_epoch_validation():
+    assert DevicePool(np.int64(3)).count == 3
+    with pytest.raises(ValueError):
+        DevicePool(2).sample_epochs(0, 8)
+    with pytest.raises(ValueError):
+        DevicePool(2).sample_epochs(4, 0)

@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 from neurocut import NumericalDivergenceError, OjaState
 
 
+@pytest.mark.parametrize("field", ["eta0", "tau"])
+def test_state_rejects_nan_rates(field):
+    with pytest.raises(ValueError, match=f"^{field} = nan must be positive"):
+        OjaState([1.0, 0.0], **{field: float("nan")})
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         OjaState([1.0, 0.0], eta0=0.0)
