@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DevicePool
+from .devices import DevicePool, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
 from .lif import LifPopulation
 from .plasticity import OjaState
@@ -132,6 +132,10 @@ class TrevisanCircuit:
         self.pop = LifPopulation(trevisan_matrix(graph) * np.sqrt(1.0 - q * q), alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
+        # every run_steps block is drawn into _states and integrated into
+        # _membranes; np.empty maps them, and only the rows a block uses are touched
+        self._states = np.empty((_BATCH, graph.n))
+        self._membranes = np.empty((_BATCH, graph.n))
 
     def run_steps(self, count: int) -> None:
         """Advance count steps, one device block of up to _BATCH draws at a time.
@@ -139,8 +143,10 @@ class TrevisanCircuit:
         Each block's membranes come from one LifPopulation.step call and its
         plasticity updates from one OjaState.update call, so the result agrees
         with single steps to rounding, and the same schedule of calls
-        reproduces it bit for bit.
+        reproduces it bit for bit. The blocks are drawn and integrated in the
+        circuit's own two (_BATCH, n) buffers, so no block allocates its own.
         """
+        count = _whole(count, "count")
         if count < 1:
             raise ValueError("count must be positive")
         done = 0
@@ -150,12 +156,13 @@ class TrevisanCircuit:
         with np.errstate(over="ignore", invalid="ignore"):
             while done < count:
                 b = min(_BATCH, count - done)
-                self.oja.update(self.pop.step(self.pool.sample_steps(b)))
+                states = self.pool.sample_steps(b, out=self._states[:b])
+                self.oja.update(self.pop.step(states, out=self._membranes[:b]))
                 done += b
 
     def read_cut(self) -> np.ndarray:
         """±1 labels from the learned vector: +1 where w_i > 0, ties to -1."""
-        return np.where(self.oja.w > 0, 1, -1).astype(np.int8)
+        return np.where(self.oja.w > 0, np.int8(1), np.int8(-1))
 
 
 @dataclass

@@ -34,11 +34,27 @@ class DevicePool:
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
-    def sample_steps(self, steps: int) -> np.ndarray:
-        """(steps, count) float array of ±1; row k equals the k-th sequential draw."""
+    def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(steps, count) float array of ±1; row k equals the k-th sequential draw.
+
+        With out, a C-contiguous (steps, count) float64 array, the states are
+        written into it and out itself is returned: the result aliases the
+        caller's buffer, and the next call that fills the buffer overwrites it.
+        The draws are the same either way.
+        """
+        steps = _whole(steps, "steps")
         if steps < 1:
             raise ValueError("steps must be positive")
-        return 2.0 * (self._rng.random((steps, self.count)) < 0.5) - 1.0
+        if out is None:
+            out = np.empty((steps, self.count))
+        elif out.shape != (steps, self.count):
+            raise ValueError(f"out has shape {out.shape}, expected ({steps}, {self.count})")
+        self._rng.random(out=out)
+        # the uniform draw becomes 1.0 below one half and 0.0 above, then ±1
+        np.less(out, 0.5, out=out)
+        out *= 2.0
+        out -= 1.0
+        return out
 
     def sample_epochs(self, epochs: int, steps: int) -> np.ndarray:
         """(epochs, count, ceil(steps / 8)) uint8 array of bit-packed states.

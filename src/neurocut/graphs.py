@@ -6,6 +6,9 @@ import os
 
 import numpy as np
 
+# Label rows per scoring slice in cut_values.
+_SLICE = 256
+
 
 class ParseError(ValueError):
     """Malformed graph file. Carries the offending line number when known."""
@@ -90,7 +93,7 @@ def cut_values(g: Graph, labels) -> np.ndarray:
     """Cut values for a (batch, n) array of ±1 label rows.
 
     For a ±1 row x, x^T A x = 2m - 4 cut(x), so each row scores as
-    (2m - q) / 4 with q = rowsum((X @ A) * X): one float64 product on the
+    (2m - q) / 4 with q = rowsum((X @ A) * X): float64 products on the
     dense adjacency, which is built on first use and cached on the graph.
     The result is exact, since every partial sum is an integer of magnitude
     at most n^2 < 2^53. Any entry other than +1 or -1 raises ValueError.
@@ -106,14 +109,20 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
 
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
+    Rows are checked and scored _SLICE at a time, so the float copy and its
+    product with the adjacency are slice-sized whatever the batch; the
+    arithmetic is exact, so the slicing cannot change a score.
     """
-    if not np.all((v == 1) | (v == -1)):
-        raise ValueError("labels must be +1 or -1")
-    if g.m == 0:
-        return np.zeros(v.shape[0], dtype=np.int64)
-    x = v.astype(np.float64)
-    q = np.einsum("bi,bi->b", x @ g.adjacency, x)
-    return ((2 * g.m - q) / 4).astype(np.int64)
+    out = np.zeros(v.shape[0], dtype=np.int64)
+    for start in range(0, len(v), _SLICE):
+        rows = v[start:start + _SLICE]
+        if not np.all((rows == 1) | (rows == -1)):
+            raise ValueError("labels must be +1 or -1")
+        if g.m:
+            x = rows.astype(np.float64)
+            q = np.einsum("bi,bi->b", x @ g.adjacency, x)
+            out[start:start + len(rows)] = (2 * g.m - q) / 4
+    return out
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:

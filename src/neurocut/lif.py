@@ -42,7 +42,7 @@ class LifPopulation:
     def reset(self) -> None:
         self.V[:] = 0.0
 
-    def step(self, states) -> np.ndarray:
+    def step(self, states, out: np.ndarray | None = None) -> np.ndarray:
         """Advance one timestep per device state; returns the membranes.
 
         An (r,) state advances one step and returns the live membrane. A
@@ -50,16 +50,24 @@ class LifPopulation:
         each of them, leaving the live membrane at the last row. The block
         drive is one GEMM and its leak is applied in chunks (see _integrate),
         so block and row-by-row results agree to rounding, not bit for bit.
+
+        A block may pass out, a (T, n) float64 array: the membranes are
+        written into it and out itself is returned, so the result aliases the
+        caller's buffer and the next call that fills it overwrites them. The
+        live membrane is a copy of the last row either way. Without out the
+        block gets a fresh array.
         """
         s = np.asarray(states, dtype=float)
         if s.shape == (self.r,):
+            if out is not None:
+                raise ValueError("out takes a (T, n) block; a single step returns the live membrane")
             self.V *= 1.0 - self.alpha
             self.V += self.weights @ s
             return self.V
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"device states have shape {s.shape}, "
                              f"expected ({self.r},) or (T, {self.r})")
-        out = self._integrate(s, self.V)
+        out = self._integrate(s, self.V, out)
         if len(out):
             self.V[:] = out[-1]
         return out
@@ -75,22 +83,32 @@ class LifPopulation:
             raise ValueError(f"state sequence has shape {s.shape}, expected (T, {self.r})")
         return self._integrate(s, np.zeros(self.n))
 
-    def _integrate(self, states, v0) -> np.ndarray:
+    def _integrate(self, states, v0, out=None) -> np.ndarray:
         """(T, n) membranes of V_t = q V_{t-1} + W s_t from V_{-1} = v0.
 
-        The drive D = S W^T is one GEMM. Each chunk of L <= _CHUNK rows
-        is then closed-form: V = K D + q^(1..L) (outer) V_prev, with K the
-        lower-triangular Toeplitz matrix of q^(i-j) and V_prev the membrane
-        before the chunk.
+        The drive D = S W^T is one GEMM, written into out (a fresh array when
+        out is None). Each chunk of L <= _CHUNK rows is then closed-form,
+        V = K D + q^(1..L) (outer) V_prev, with K the lower-triangular
+        Toeplitz matrix of q^(i-j) and V_prev the membrane before the chunk.
+        A chunk's drive is copied to a _CHUNK-row scratch first, so V
+        overwrites D in place and no other (T, n) array is made.
         """
-        drive = states @ self.weights.T
-        out = np.empty_like(drive)
+        shape = (len(states), self.n)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        np.matmul(states, self.weights.T, out=out)
+        scratch = np.empty((min(_CHUNK, len(out)), self.n))
         prev = v0
-        for start in range(0, len(drive), _CHUNK):
+        for start in range(0, len(out), _CHUNK):
             chunk = out[start:start + _CHUNK]
             rows = len(chunk)
-            np.matmul(self._leak[:rows, :rows], drive[start:start + rows], out=chunk)
-            chunk += np.multiply.outer(self._carry[:rows], prev)
+            drive = scratch[:rows]
+            np.copyto(drive, chunk)
+            np.matmul(self._leak[:rows, :rows], drive, out=chunk)
+            np.multiply.outer(self._carry[:rows], prev, out=drive)
+            chunk += drive
             prev = chunk[-1]
         return out
 

@@ -89,5 +89,5 @@ def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -
     if w.ndim != 2:
         raise ValueError("vectors must be a 2-d array")
     gauss = rng.standard_normal((count, w.shape[1]))
-    return np.where(gauss @ w.T > 0, 1, -1).astype(np.int8)
+    return np.where(gauss @ w.T > 0, np.int8(1), np.int8(-1))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,18 @@ def assert_pm_one(labels, n):
     arr = np.asarray(labels)
     assert arr.shape == (n,)
     assert set(np.unique(arr)).issubset({-1, 1})
+
+
+def warm_peak_bytes(call):
+    """Peak bytes traced during call() after one untraced warm-up call.
+
+    numpy reports its array buffers to tracemalloc, so this counts the arrays
+    a call makes whatever the C allocator does with them.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

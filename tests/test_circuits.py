@@ -26,6 +26,9 @@ from neurocut import (
     trajectory_from_sampler,
     trevisan_matrix,
 )
+from neurocut.circuits import _BATCH
+
+from conftest import warm_peak_bytes
 
 
 # --- GW circuit -------------------------------------------------------------
@@ -173,6 +176,34 @@ def test_trevisan_same_schedule_is_bit_identical(petersen):
             circ.run_steps(count)
         runs.append((circ.oja.w.tobytes(), circ.pop.V.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_trevisan_run_steps_replays_its_block_calls_bit_for_bit():
+    # n=300 is above the size where a row split of the drive GEMM changes its
+    # last bits, so the buffers must carry each block as one GEMM
+    g = generate_erdos_renyi(300, 0.1, 5)
+    circ, replay = TrevisanCircuit(g, seed=3), TrevisanCircuit(g, seed=3)
+    circ.run_steps(2 * _BATCH + 77)
+    for b in (_BATCH, _BATCH, 77):
+        replay.oja.update(replay.pop.step(replay.pool.sample_steps(b)))
+    assert circ.oja.t == replay.oja.t == 2 * _BATCH + 77
+    assert circ.oja.w.tobytes() == replay.oja.w.tobytes()
+    assert circ.pop.V.tobytes() == replay.pop.V.tobytes()
+
+
+def test_trevisan_run_steps_allocates_no_block():
+    # a (4096, 100) float64 block alone would take 3.3 MB
+    circ = TrevisanCircuit(generate_erdos_renyi(100, 0.5, 1), seed=2)
+    assert warm_peak_bytes(lambda: circ.run_steps(_BATCH)) < 1_000_000
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+def test_trevisan_run_steps_takes_integer_counts(k3, value):
+    circ = TrevisanCircuit(k3, seed=1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        circ.run_steps(value)
+    circ.run_steps(np.int64(3))
+    assert circ.oja.t == 3
 
 
 def _vector_divergence_step(circ, steps):

@@ -26,6 +26,21 @@ def test_stream_split_invariance():
     assert np.array_equal(batch, two)
 
 
+@pytest.mark.parametrize("steps", [1, 77, 4096])
+def test_sample_steps_into_a_buffer_equals_a_fresh_draw(steps):
+    buf = np.full((4096, 9), np.nan)
+    pool = DevicePool(9, seed=31)
+    got = pool.sample_steps(steps, out=buf[:steps])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(got, DevicePool(9, seed=31).sample_steps(steps))
+    # the stream continues from the buffered draw as from a fresh one
+    fresh = DevicePool(9, seed=31)
+    fresh.sample_steps(steps)
+    assert np.array_equal(pool.sample_steps(5), fresh.sample_steps(5))
+    with pytest.raises(ValueError, match="shape"):
+        pool.sample_steps(steps, out=buf[:steps, :8])
+
+
 def test_distinct_seeds_distinct_streams():
     a = DevicePool(16, seed=0).sample_steps(50)
     b = DevicePool(16, seed=1).sample_steps(50)
@@ -112,10 +127,13 @@ def test_non_integer_sizes_are_rejected(value):
         DevicePool(2).sample_epochs(value, 8)
     with pytest.raises(ValueError, match="must be an integer"):
         DevicePool(2).sample_epochs(4, value)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DevicePool(2).sample_steps(value)
 
 
 def test_epoch_validation():
     assert DevicePool(np.int64(3)).count == 3
+    assert DevicePool(2).sample_steps(np.int64(3)).shape == (3, 2)
     with pytest.raises(ValueError):
         DevicePool(2).sample_epochs(0, 8)
     with pytest.raises(ValueError):

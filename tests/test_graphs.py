@@ -15,6 +15,9 @@ from neurocut import (
     save_graph,
     trevisan_matrix,
 )
+from neurocut.graphs import _SLICE
+
+from conftest import warm_peak_bytes
 
 
 # --- construction -----------------------------------------------------------
@@ -100,6 +103,30 @@ def test_cut_values_matches_gather_reference(n, p, batch, dtype, gseed, cseed):
     assert got.dtype == np.int64
     assert got.tolist() == gather_cut_values(g, labels).tolist()
     assert cut_value(g, labels[0]) == got[0]
+
+
+@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1, 4096])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_sliced_scoring_matches_gather_at_slice_boundaries(batch, p):
+    g = generate_erdos_renyi(40, p, 3)
+    labels = np.random.default_rng(batch).integers(0, 2, size=(batch, 40), dtype=np.int8) * 2 - 1
+    got = cut_values(g, labels)
+    assert got.dtype == np.int64 and got.shape == (batch,)
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
+
+
+def test_bad_label_in_a_later_slice_is_rejected(k3):
+    labels = np.ones((3 * _SLICE, 3), dtype=np.int8)
+    labels[2 * _SLICE + 5, 1] = 0
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        cut_values(k3, labels)
+
+
+def test_cut_values_temporaries_are_slice_sized():
+    # a (4096, 100) float64 copy of the batch alone would take 3.3 MB
+    g = generate_erdos_renyi(100, 0.5, 1)
+    labels = np.random.default_rng(0).integers(0, 2, size=(4096, 100), dtype=np.int8) * 2 - 1
+    assert warm_peak_bytes(lambda: cut_values(g, labels)) < 1_000_000
 
 
 @pytest.mark.parametrize("row", [[1, 0, 1], [True, False, True], [1.0, -1.0, 2.0],

@@ -83,6 +83,21 @@ def test_step_block_equals_row_loop(n, r, steps, seed, alpha):
     assert np.array_equal(block.V, out[-1])
 
 
+def test_step_block_into_a_buffer_equals_a_fresh_block():
+    states = DevicePool(2, seed=3).sample_steps(150)
+    into, fresh = make_pop(5, 2), make_pop(5, 2)
+    buf = np.full((150, 5), np.nan)
+    got = into.step(states, out=buf)
+    assert got is buf
+    assert np.array_equal(got, fresh.step(states))
+    assert np.array_equal(into.V, fresh.V)
+    assert not np.shares_memory(into.V, buf)
+    with pytest.raises(ValueError, match="shape"):
+        into.step(states, out=buf[:149])
+    with pytest.raises(ValueError, match="block"):
+        into.step(states[0], out=buf[:1])
+
+
 def test_simulate_does_not_touch_live_state():
     pop = make_pop()
     pop.step(np.ones(2))

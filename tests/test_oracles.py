@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,3 +163,28 @@ def test_round_frequency_matches_arccos_law():
 def test_rounds_rejects_non_matrix():
     with pytest.raises(ValueError):
         reference_hyperplane_rounds(np.ones(3), 5, np.random.default_rng(0))
+
+
+def test_rounds_build_int8_labels_without_a_wide_copy():
+    # Traced memory is sampled at every call the oracle makes or returns from.
+    # An int64 (count, n) label array cast down to int8 is alive at the cast
+    # and holds 8 * count * n bytes by itself.
+    count, n = 4096, 100
+    vecs = np.random.default_rng(3).standard_normal((n, 4))
+    reference_hyperplane_rounds(vecs, count, np.random.default_rng(4))
+    live = []
+
+    def probe(frame, event, arg):
+        if frame.f_code is reference_hyperplane_rounds.__code__:
+            live.append(tracemalloc.get_traced_memory()[0])
+
+    previous = sys.getprofile()
+    tracemalloc.start()
+    sys.setprofile(probe)
+    try:
+        rounds = reference_hyperplane_rounds(vecs, count, np.random.default_rng(4))
+    finally:
+        sys.setprofile(previous)
+        tracemalloc.stop()
+    assert rounds.dtype == np.int8 and rounds.shape == (count, n)
+    assert live and max(live) < 8 * count * n
