@@ -23,6 +23,8 @@ from .sdp import SdpSolution, SolverConfig, solve_gw_sdp
 from .seeding import derive_seed
 
 _BATCH = 4096
+# Epochs per sign read in GwCircuit.sample_cuts.
+_SLICE = 256
 
 METHODS = ("gw", "trevisan", "random")
 
@@ -94,11 +96,22 @@ class GwCircuit:
         # _table[j, v] = sum_t decay[8j + t] * (2 bit_t(v) - 1): byte j's share of d
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
         self._table = decay.reshape(-1, 8) @ (2.0 * bits.T - 1.0)
+        # sample_cuts integrates each slice of epochs here before reading signs
+        self._membranes = np.empty((_SLICE, graph.n))
 
-    def epoch_membranes(self, count: int) -> np.ndarray:
-        """(count, n) end-of-epoch membrane vectors, one reset epoch per row."""
+    def epoch_membranes(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(count, n) end-of-epoch membrane vectors, one reset epoch per row.
+
+        With out, a C-contiguous (count, n) float64 array, the membranes are
+        written into it and out itself is returned: the result aliases the
+        caller's buffer, and the next call that fills the buffer overwrites
+        it. The epochs are the same either way.
+        """
         k = self.config.epoch_steps
-        out = np.empty((count, self.graph.n))
+        if out is None:
+            out = np.empty((count, self.graph.n))
+        elif out.shape != (count, self.graph.n):
+            raise ValueError(f"out has shape {out.shape}, expected ({count}, {self.graph.n})")
         done = 0
         while done < count:
             b = min(_BATCH, count - done)
@@ -109,8 +122,22 @@ class GwCircuit:
         return out
 
     def sample_cuts(self, count: int) -> np.ndarray:
-        """(count, n) array of ±1 labels, one independent epoch per row."""
-        return np.where(self.epoch_membranes(count) > 0, np.int8(1), np.int8(-1))
+        """(count, n) int8 array of ±1 labels, one independent epoch per row.
+
+        Epochs are integrated _SLICE at a time into the circuit's own
+        membrane buffer, and each slice's signs are written straight into the
+        int8 result (+1 where the membrane is positive, ties to -1). The
+        device stream is split-invariant by epoch, so the slicing cannot
+        change a label.
+        """
+        labels = np.empty((count, self.graph.n), dtype=np.int8)
+        for start in range(0, count, _SLICE):
+            b = min(_SLICE, count - start)
+            v = self.epoch_membranes(b, out=self._membranes[:b])
+            np.greater(v, 0, out=labels[start:start + b].view(np.bool_))
+        labels *= 2
+        labels -= 1
+        return labels
 
 
 class TrevisanCircuit:

@@ -8,6 +8,9 @@ import numpy as np
 
 # Label rows per scoring slice in cut_values.
 _SLICE = 256
+# float32 holds every integer of magnitude up to 2^24 exactly; graphs with
+# 2m below it score in float32 (see cut_values), larger ones in float64.
+_FLOAT32_EXACT = 1 << 24
 
 
 class ParseError(ValueError):
@@ -46,6 +49,7 @@ class Graph:
         self.n = int(n)
         self.edges = pairs
         self._adjacency: np.ndarray | None = None
+        self._adjacency32: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -55,14 +59,25 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (float64, zero diagonal)."""
         if self._adjacency is None:
-            a = np.zeros((self.n, self.n))
-            if self.m:
-                u, v = self.edges[:, 0], self.edges[:, 1]
-                a[u, v] = 1.0
-                a[v, u] = 1.0
-            a.setflags(write=False)
-            self._adjacency = a
+            self._adjacency = self._dense(np.float64)
         return self._adjacency
+
+    def _scoring_adjacency(self) -> np.ndarray:
+        """The adjacency _score_rows multiplies by: float32 while 2m < 2^24, else float64."""
+        if 2 * self.m >= _FLOAT32_EXACT:
+            return self.adjacency
+        if self._adjacency32 is None:
+            self._adjacency32 = self._dense(np.float32)
+        return self._adjacency32
+
+    def _dense(self, dtype) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=dtype)
+        if self.m:
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            a[u, v] = 1
+            a[v, u] = 1
+        a.setflags(write=False)
+        return a
 
     @property
     def degrees(self) -> np.ndarray:
@@ -93,10 +108,15 @@ def cut_values(g: Graph, labels) -> np.ndarray:
     """Cut values for a (batch, n) array of ±1 label rows.
 
     For a ±1 row x, x^T A x = 2m - 4 cut(x), so each row scores as
-    (2m - q) / 4 with q = rowsum((X @ A) * X): float64 products on the
-    dense adjacency, which is built on first use and cached on the graph.
-    The result is exact, since every partial sum is an integer of magnitude
-    at most n^2 < 2^53. Any entry other than +1 or -1 raises ValueError.
+    (2m - q) / 4 with q = rowsum((X @ A) * X), products on the dense
+    adjacency, which is built on first use and cached on the graph. Every
+    partial sum of q is an integer: inside X @ A its magnitude is at most
+    the largest degree, and in the row sum at most 2m. float32 holds every
+    integer up to 2^24, so while 2m < 2^24 the products run in float32 and
+    are exact in any summation order (a threaded or blocked GEMM included);
+    larger graphs fall back to float64. q is taken to int64 before the
+    division, so the scores are exact. Any entry other than +1 or -1 raises
+    ValueError.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -114,14 +134,15 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     arithmetic is exact, so the slicing cannot change a score.
     """
     out = np.zeros(v.shape[0], dtype=np.int64)
+    a = g._scoring_adjacency() if g.m else None
     for start in range(0, len(v), _SLICE):
         rows = v[start:start + _SLICE]
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
         if g.m:
-            x = rows.astype(np.float64)
-            q = np.einsum("bi,bi->b", x @ g.adjacency, x)
-            out[start:start + len(rows)] = (2 * g.m - q) / 4
+            x = rows.astype(a.dtype)
+            q = np.einsum("bi,bi->b", x @ a, x).astype(np.int64)
+            out[start:start + len(rows)] = (2 * g.m - q) // 4
     return out
 
 

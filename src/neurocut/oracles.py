@@ -14,6 +14,8 @@ from .graphs import Graph, trevisan_matrix
 
 ENUM_LIMIT = 26
 _BLOCK = 1 << 18
+# Rounding rows per sign read in reference_hyperplane_rounds.
+_ROUND_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,19 @@ def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -
     """(count, n) batch of hyperplane roundings of unit-vector rows.
 
     Each row draws one standard normal g in R^r and labels vertex i by the
-    sign of vectors[i] . g (ties go to -1).
+    sign of vectors[i] . g (ties go to -1). The Gaussians are one draw;
+    their products are signed _ROUND_ROWS rows at a time straight into the
+    int8 result, so no (count, n) float array is made.
     """
     w = np.asarray(vectors, dtype=float)
     if w.ndim != 2:
         raise ValueError("vectors must be a 2-d array")
     gauss = rng.standard_normal((count, w.shape[1]))
-    return np.where(gauss @ w.T > 0, np.int8(1), np.int8(-1))
+    labels = np.empty((count, w.shape[0]), dtype=np.int8)
+    for start in range(0, count, _ROUND_ROWS):
+        rows = slice(start, start + _ROUND_ROWS)
+        np.greater(gauss[rows] @ w.T, 0, out=labels[rows].view(np.bool_))
+    labels *= 2
+    labels -= 1
+    return labels
 

@@ -26,7 +26,7 @@ from neurocut import (
     trajectory_from_sampler,
     trevisan_matrix,
 )
-from neurocut.circuits import _BATCH
+from neurocut.circuits import _BATCH, _SLICE
 
 from conftest import warm_peak_bytes
 
@@ -99,6 +99,42 @@ def test_gw_samples_are_stream_split_invariant(c4):
     batch = a.sample_cuts(8)
     singles = np.array([b.sample_cuts(1)[0] for _ in range(8)])
     assert np.array_equal(batch, singles)
+
+
+@pytest.fixture(scope="module")
+def gw_n100():
+    g = generate_erdos_renyi(100, 0.5, 1)
+    return g, solve_gw_sdp(g, config=SolverConfig(seed=3))
+
+
+@pytest.mark.parametrize("count", [1, _SLICE - 1, _SLICE, _SLICE + 1, _BATCH, _BATCH + 1])
+def test_gw_sample_cuts_are_the_membrane_signs(gw_n100, count):
+    g, sol = gw_n100
+    cuts = GwCircuit(g, sol, seed=4).sample_cuts(count)
+    membranes = GwCircuit(g, sol, seed=4).epoch_membranes(count)
+    assert cuts.dtype == np.int8 and cuts.shape == (count, g.n)
+    assert np.array_equal(cuts, np.where(membranes > 0, 1, -1))
+
+
+def test_gw_epoch_membranes_into_a_buffer_equals_a_fresh_block(c4):
+    sol = solve_gw_sdp(c4)
+    buffer = np.full((5, c4.n), np.nan)
+    got = GwCircuit(c4, sol, seed=6).epoch_membranes(5, out=buffer)
+    assert got is buffer
+    assert np.array_equal(got, GwCircuit(c4, sol, seed=6).epoch_membranes(5))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (5,), (1, 5, 4)])
+def test_gw_epoch_membranes_rejects_wrong_shaped_out(c4, shape):
+    circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
+    with pytest.raises(ValueError, match="out has shape"):
+        circ.epoch_membranes(5, out=np.empty(shape))
+
+
+def test_gw_sample_cuts_allocates_no_float_block(gw_n100):
+    # the (4096, 100) float64 membrane block alone would take 3.3 MB
+    circ = GwCircuit(*gw_n100, seed=5)
+    assert warm_peak_bytes(lambda: circ.sample_cuts(_BATCH)) < 1_000_000
 
 
 def test_gw_validates_solution_size(k3, c4):

@@ -15,6 +15,7 @@ from neurocut import (
     save_graph,
     trevisan_matrix,
 )
+from neurocut import graphs
 from neurocut.graphs import _SLICE
 
 from conftest import warm_peak_bytes
@@ -103,6 +104,31 @@ def test_cut_values_matches_gather_reference(n, p, batch, dtype, gseed, cseed):
     assert got.dtype == np.int64
     assert got.tolist() == gather_cut_values(g, labels).tolist()
     assert cut_value(g, labels[0]) == got[0]
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 2 * _SLICE),
+       st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_float64_fallback_past_the_float32_limit_scores_the_same(n, p, batch, gseed, cseed):
+    # Moving the limit onto 2m pins the switch without a graph of 2^23 edges:
+    # 2m one below the limit scores in float32, 2m at the limit in float64.
+    g = generate_erdos_renyi(n, p, gseed)
+    labels = np.random.default_rng(cseed).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
+    scores = {}
+    for limit, dtype in ((2 * g.m + 1, np.float32), (2 * g.m, np.float64)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_FLOAT32_EXACT", limit)
+            assert g._scoring_adjacency().dtype == dtype
+            scores[dtype] = cut_values(g, labels).tolist()
+    assert scores[np.float32] == scores[np.float64] == gather_cut_values(g, labels).tolist()
+
+
+def test_float32_adjacency_is_built_once_and_read_only(c4):
+    a = c4._scoring_adjacency()
+    assert a.dtype == np.float32 and not a.flags.writeable
+    assert np.array_equal(a, c4.adjacency)
+    cut_values(c4, np.ones((3, 4), dtype=np.int8))
+    assert c4._scoring_adjacency() is a
 
 
 @pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1, 4096])

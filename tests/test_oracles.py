@@ -15,7 +15,7 @@ from neurocut import (
     reference_hyperplane_rounds,
     spectral_cut,
 )
-from neurocut.oracles import ENUM_LIMIT
+from neurocut.oracles import _ROUND_ROWS, ENUM_LIMIT
 
 from conftest import assert_pm_one
 
@@ -158,6 +158,15 @@ def test_round_frequency_matches_arccos_law():
     f = np.mean(rounds[:, 0] != rounds[:, 1])
     se = np.sqrt((2.0 / 3.0) * (1.0 / 3.0) / 60000)
     assert abs(f - 2.0 / 3.0) < 3 * se
+
+
+@pytest.mark.parametrize("count", [1, _ROUND_ROWS - 1, _ROUND_ROWS, _ROUND_ROWS + 1])
+def test_sliced_rounds_equal_the_whole_batch_formula(count):
+    vecs = np.random.default_rng(5).standard_normal((30, 4))
+    got = reference_hyperplane_rounds(vecs, count, np.random.default_rng(6))
+    gauss = np.random.default_rng(6).standard_normal((count, 4))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.where(gauss @ vecs.T > 0, 1, -1))
 
 
 def test_rounds_rejects_non_matrix():
