@@ -105,8 +105,10 @@ class GwCircuit:
         With out, a C-contiguous (count, n) float64 array, the membranes are
         written into it and out itself is returned: the result aliases the
         caller's buffer, and the next call that fills the buffer overwrites
-        it. The epochs are the same either way.
+        it. The epochs are the same either way. A count that is not an
+        integer raises ValueError.
         """
+        count = _whole(count, "count")
         k = self.config.epoch_steps
         if out is None:
             out = np.empty((count, self.graph.n))
@@ -128,8 +130,9 @@ class GwCircuit:
         membrane buffer, and each slice's signs are written straight into the
         int8 result (+1 where the membrane is positive, ties to -1). The
         device stream is split-invariant by epoch, so the slicing cannot
-        change a label.
+        change a label. A count that is not an integer raises ValueError.
         """
+        count = _whole(count, "count")
         labels = np.empty((count, self.graph.n), dtype=np.int8)
         for start in range(0, count, _SLICE):
             b = min(_SLICE, count - start)
@@ -209,7 +212,11 @@ class CutTrajectory:
 
 
 def checkpoint_schedule(total_samples: int) -> list:
-    """Powers of two up to the sample budget: 1, 2, 4, ..., <= total_samples."""
+    """Powers of two up to the sample budget: 1, 2, 4, ..., <= total_samples.
+
+    A budget that is not an integer (16.0, "3", None) raises ValueError.
+    """
+    total_samples = _whole(total_samples, "total_samples")
     if total_samples < 1:
         raise ValueError("total_samples must be positive")
     return [1 << k for k in range(total_samples.bit_length()) if (1 << k) <= total_samples]
@@ -266,7 +273,11 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
         rng = np.random.default_rng(derive_seed(seed, "random-cuts"))
 
         def sampler(b):
-            return (rng.integers(0, 2, size=(b, graph.n), dtype=np.int8) * 2 - 1)
+            # {0, 1} to ±1 in place, with no second batch-sized array
+            labels = rng.integers(0, 2, size=(b, graph.n), dtype=np.int8)
+            labels *= 2
+            labels -= 1
+            return labels
 
         return trajectory_from_sampler(graph, sampler, total_samples, "random", seed, graph_id)
 

@@ -8,6 +8,8 @@ import numpy as np
 
 # Label rows per scoring slice in cut_values.
 _SLICE = 256
+# Vertices per row block of the upper-triangle walk in _score_rows.
+_BLOCK = 128
 # float32 holds every integer of magnitude up to 2^24 exactly; graphs with
 # 2m below it score in float32 (see cut_values), larger ones in float64.
 _FLOAT32_EXACT = 1 << 24
@@ -49,7 +51,7 @@ class Graph:
         self.n = int(n)
         self.edges = pairs
         self._adjacency: np.ndarray | None = None
-        self._adjacency32: np.ndarray | None = None
+        self._upper: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -63,19 +65,25 @@ class Graph:
         return self._adjacency
 
     def _scoring_adjacency(self) -> np.ndarray:
-        """The adjacency _score_rows multiplies by: float32 while 2m < 2^24, else float64."""
-        if 2 * self.m >= _FLOAT32_EXACT:
-            return self.adjacency
-        if self._adjacency32 is None:
-            self._adjacency32 = self._dense(np.float32)
-        return self._adjacency32
+        """U, the strict upper triangle of the adjacency, that _score_rows multiplies by.
 
-    def _dense(self, dtype) -> np.ndarray:
+        It is float32 while 2m < 2^24 and float64 past that, built on first
+        use, cached on the graph and read-only; every block product of the
+        scorer is a view of it, so no block is copied.
+        """
+        if self._upper is None:
+            dtype = np.float32 if 2 * self.m < _FLOAT32_EXACT else np.float64
+            self._upper = self._dense(dtype, symmetric=False)
+        return self._upper
+
+    def _dense(self, dtype, symmetric: bool = True) -> np.ndarray:
+        # edges are stored with i < j, so (i, j) alone fills the strict upper triangle
         a = np.zeros((self.n, self.n), dtype=dtype)
         if self.m:
             u, v = self.edges[:, 0], self.edges[:, 1]
             a[u, v] = 1
-            a[v, u] = 1
+            if symmetric:
+                a[v, u] = 1
         a.setflags(write=False)
         return a
 
@@ -107,16 +115,17 @@ def cut_value(g: Graph, labels) -> int:
 def cut_values(g: Graph, labels) -> np.ndarray:
     """Cut values for a (batch, n) array of ±1 label rows.
 
-    For a ±1 row x, x^T A x = 2m - 4 cut(x), so each row scores as
-    (2m - q) / 4 with q = rowsum((X @ A) * X), products on the dense
-    adjacency, which is built on first use and cached on the graph. Every
-    partial sum of q is an integer: inside X @ A its magnitude is at most
-    the largest degree, and in the row sum at most 2m. float32 holds every
-    integer up to 2^24, so while 2m < 2^24 the products run in float32 and
-    are exact in any summation order (a threaded or blocked GEMM included);
-    larger graphs fall back to float64. q is taken to int64 before the
-    division, so the scores are exact. Any entry other than +1 or -1 raises
-    ValueError.
+    For a ±1 row x, x^T A x = 2m - 4 cut(x), and x^T A x = 2 x^T U x with U
+    the strict upper triangle of the adjacency, so each row scores as
+    (m - h) / 2 with h = x^T U x. h is summed over row blocks of U, about
+    half the multiply-adds of a product with all of A (see _score_rows).
+    Every partial sum of h is an integer: inside a block product its
+    magnitude is at most the largest degree, and in the row sums and the
+    sum across blocks at most m. float32 holds every integer up to 2^24, so
+    while 2m < 2^24 the products run in float32 and are exact in any
+    summation order (a threaded or blocked GEMM included); larger graphs
+    fall back to float64. h is taken to int64 before the division, so the
+    scores are exact. Any entry other than +1 or -1 raises ValueError.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -130,20 +139,35 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
     Rows are checked and scored _SLICE at a time, so the float copy and its
-    product with the adjacency are slice-sized whatever the batch; the
-    arithmetic is exact, so the slicing cannot change a score.
+    block products are slice-sized whatever the batch. For each row block
+    I = [lo, hi) of _BLOCK vertices, h gains
+    rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]): U is zero left of the
+    diagonal, so columns before lo add nothing, and the walk costs about
+    n^2 / 2 + n _BLOCK / 2 multiply-adds per row. A graph of at most _BLOCK
+    vertices takes one product, as many multiply-adds as X @ A. The
+    arithmetic is exact, so neither the slicing nor the blocking can change
+    a score.
     """
     out = np.zeros(v.shape[0], dtype=np.int64)
-    a = g._scoring_adjacency() if g.m else None
+    u = g._scoring_adjacency() if g.m else None
     for start in range(0, len(v), _SLICE):
         rows = v[start:start + _SLICE]
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
         if g.m:
-            x = rows.astype(a.dtype)
-            q = np.einsum("bi,bi->b", x @ a, x).astype(np.int64)
-            out[start:start + len(rows)] = (2 * g.m - q) // 4
+            x = rows.astype(u.dtype)
+            # the first block starts h, so a graph of one block adds no work
+            h = _block_sum(x, u, 0)
+            for lo in range(_BLOCK, g.n, _BLOCK):
+                h += _block_sum(x, u, lo)
+            out[start:start + len(rows)] = (g.m - h.astype(np.int64)) // 2
     return out
+
+
+def _block_sum(x: np.ndarray, u: np.ndarray, lo: int) -> np.ndarray:
+    """rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]) for the row block I = [lo, lo + _BLOCK)."""
+    hi = lo + _BLOCK
+    return np.einsum("bi,bi->b", x[:, lo:hi] @ u[lo:hi, lo:], x[:, lo:])
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:

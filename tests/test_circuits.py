@@ -27,6 +27,7 @@ from neurocut import (
     trevisan_matrix,
 )
 from neurocut.circuits import _BATCH, _SLICE
+from neurocut.seeding import derive_seed
 
 from conftest import warm_peak_bytes
 
@@ -129,6 +130,17 @@ def test_gw_epoch_membranes_rejects_wrong_shaped_out(c4, shape):
     circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
     with pytest.raises(ValueError, match="out has shape"):
         circ.epoch_membranes(5, out=np.empty(shape))
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+def test_gw_counts_must_be_integers(c4, value):
+    circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
+    with pytest.raises(ValueError, match="count = .* must be an integer"):
+        circ.sample_cuts(value)
+    with pytest.raises(ValueError, match="count = .* must be an integer"):
+        circ.epoch_membranes(value)
+    assert circ.sample_cuts(np.int64(3)).shape == (3, 4)
+    assert circ.epoch_membranes(np.int64(3)).shape == (3, 4)
 
 
 def test_gw_sample_cuts_allocates_no_float_block(gw_n100):
@@ -337,6 +349,36 @@ def test_checkpoint_schedule():
     assert checkpoint_schedule(1024) == [2 ** k for k in range(11)]
     with pytest.raises(ValueError):
         checkpoint_schedule(0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+def test_checkpoint_schedule_takes_integer_budgets(value):
+    with pytest.raises(ValueError, match="total_samples = .* must be an integer"):
+        checkpoint_schedule(value)
+    assert checkpoint_schedule(np.int64(3)) == [1, 2]
+
+
+@pytest.mark.parametrize("method", ["random", "gw", "trevisan"])
+@pytest.mark.parametrize("value", [16.0, 2.5, 2.0, "3", None])
+def test_run_trajectory_takes_integer_budgets(c4, method, value):
+    with pytest.raises(ValueError, match="total_samples = .* must be an integer"):
+        run_trajectory(method, c4, value, seed=3)
+    traj = run_trajectory(method, c4, np.int64(16), seed=3)
+    assert [s for s, _ in traj.checkpoints] == [1, 2, 4, 8, 16]
+
+
+@pytest.mark.parametrize("n, total", [(20, 2 ** 13), (100, _BATCH + 5)])
+def test_random_trajectory_equals_the_whole_batch_expression(n, total):
+    # the labels are built in place; the reference builds each batch the
+    # old way, from the same stream, as two whole-batch expressions
+    g = generate_erdos_renyi(n, 0.5, n)
+    rng = np.random.default_rng(derive_seed(9, "random-cuts"))
+
+    def reference(b):
+        return rng.integers(0, 2, size=(b, n), dtype=np.int8) * 2 - 1
+
+    want = trajectory_from_sampler(g, reference, total, "random", 9)
+    assert run_trajectory("random", g, total, seed=9).checkpoints == want.checkpoints
 
 
 def test_trajectory_from_sampler_draw_budget(k3):

@@ -16,7 +16,7 @@ from neurocut import (
     trevisan_matrix,
 )
 from neurocut import graphs
-from neurocut.graphs import _SLICE
+from neurocut.graphs import _BLOCK, _SLICE
 
 from conftest import warm_peak_bytes
 
@@ -112,23 +112,57 @@ def test_cut_values_matches_gather_reference(n, p, batch, dtype, gseed, cseed):
 def test_float64_fallback_past_the_float32_limit_scores_the_same(n, p, batch, gseed, cseed):
     # Moving the limit onto 2m pins the switch without a graph of 2^23 edges:
     # 2m one below the limit scores in float32, 2m at the limit in float64.
+    # The scoring matrix is cached on first use, so each side gets a fresh graph.
     g = generate_erdos_renyi(n, p, gseed)
     labels = np.random.default_rng(cseed).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
     scores = {}
     for limit, dtype in ((2 * g.m + 1, np.float32), (2 * g.m, np.float64)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_FLOAT32_EXACT", limit)
-            assert g._scoring_adjacency().dtype == dtype
-            scores[dtype] = cut_values(g, labels).tolist()
+            fresh = Graph(g.n, g.edges)
+            u = fresh._scoring_adjacency()
+            assert u.dtype == dtype and not u.flags.writeable
+            assert np.array_equal(u, np.triu(g.adjacency, 1))
+            scores[dtype] = cut_values(fresh, labels).tolist()
     assert scores[np.float32] == scores[np.float64] == gather_cut_values(g, labels).tolist()
 
 
 def test_float32_adjacency_is_built_once_and_read_only(c4):
-    a = c4._scoring_adjacency()
-    assert a.dtype == np.float32 and not a.flags.writeable
-    assert np.array_equal(a, c4.adjacency)
+    u = c4._scoring_adjacency()
+    assert u.dtype == np.float32 and not u.flags.writeable
+    assert np.array_equal(u, np.triu(c4.adjacency, 1))
     cut_values(c4, np.ones((3, 4), dtype=np.int8))
-    assert c4._scoring_adjacency() is a
+    assert c4._scoring_adjacency() is u
+
+
+@given(st.integers(1, 40), st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from([1, 3, 8]),
+       st.integers(1, 2 * _SLICE), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_block_walk_matches_gather_across_many_blocks(n, p, block, batch, gseed, cseed):
+    # small blocks make graphs of at most 40 vertices cross many of them,
+    # with a partial last block whenever block does not divide n
+    g = generate_erdos_renyi(n, p, gseed)
+    labels = np.random.default_rng(cseed).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
+    want = gather_cut_values(g, labels).tolist()
+    for limit, dtype in ((2 * g.m + 1, np.float32), (2 * g.m, np.float64)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_BLOCK", block)
+            mp.setattr(graphs, "_FLOAT32_EXACT", limit)
+            fresh = Graph(g.n, g.edges)
+            assert cut_values(fresh, labels).tolist() == want
+            if g.m:
+                assert fresh._scoring_adjacency().dtype == dtype
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1])
+def test_block_walk_matches_gather_at_block_boundaries(n):
+    # a last block of one vertex holds an empty row of U; 2 * _BLOCK - 1
+    # ends on a partial block that carries edges
+    g = generate_erdos_renyi(n, 0.5, n)
+    labels = np.random.default_rng(n).integers(0, 2, size=(_SLICE + 1, n), dtype=np.int8) * 2 - 1
+    got = cut_values(g, labels)
+    assert got.dtype == np.int64 and got.shape == (_SLICE + 1,)
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
 
 
 @pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1, 4096])
