@@ -25,6 +25,5 @@ from .lif import LifPopulation
 from .oracles import (MaxcutResult, SpectralCutResult, brute_force_maxcut,
                       reference_hyperplane_rounds, spectral_cut)
 from .plasticity import NumericalDivergenceError, OjaState
-from .sdp import (SdpSolution, SolverConfig, effective_rank, load_solution,
-                  normalize_rows, sdp_objective, solve_gw_sdp)
+from .sdp import SdpSolution, SolverConfig, sdp_objective, solve_gw_sdp
 from .seeding import RNG_ALGORITHM, derive_seed

@@ -71,15 +71,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.methods:
             raise ValueError("methods must not be empty")
-        for m in self.methods:
+        for k, m in enumerate(self.methods):
             if m not in BENCH_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {BENCH_METHODS}")
+            if m in self.methods[:k]:
+                raise ValueError(f"method {m!r} is listed twice; each method runs once per graph")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.er_graphs_per_cell < 0:
             raise ValueError("er_graphs_per_cell must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if any(n < 1 for n in self.er_n):
+            raise ValueError(f"er_n must hold positive vertex counts, not {min(self.er_n)}")
         for p in self.er_p:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge probability {p} outside [0, 1]")

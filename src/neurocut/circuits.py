@@ -49,32 +49,32 @@ class CircuitConfig:
         # comparisons written so that NaN fails them
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha = {self.alpha} outside (0, 1)")
-        if self.epoch_steps < 1:
+        if _whole(self.epoch_steps, "epoch_steps") < 1:
             raise ValueError(f"epoch_steps = {self.epoch_steps} must be >= 1")
         if not self.eta0 > 0:
             raise ValueError(f"eta0 = {self.eta0} must be positive")
         if not self.tau > 0:
             raise ValueError(f"tau = {self.tau} must be positive")
-        if self.rank < 2:
+        if _whole(self.rank, "rank") < 2:
             raise ValueError(f"rank = {self.rank} must be >= 2")
         if not self.sdp_tol >= 0:
             raise ValueError(f"sdp_tol = {self.sdp_tol} must be >= 0")
-        if self.sdp_max_iter is not None and self.sdp_max_iter < 0:
+        if self.sdp_max_iter is not None and _whole(self.sdp_max_iter, "sdp_max_iter") < 0:
             raise ValueError(f"sdp_max_iter = {self.sdp_max_iter} must be >= 0")
 
 
 class GwCircuit:
-    """Rounding sampler: device pool -> LIF population with relaxation rows as weights.
+    """Rounding sampler: device pool -> LIF units weighted by the relaxation rows.
 
     Each sample resets the membranes, integrates epoch_steps fresh ±1 device
     draws, and reads the membrane signs as a cut. Over an epoch the
     membrane covariance is proportional to the Gram matrix of the relaxation
     vectors, so the sign reads reproduce hyperplane-rounding statistics.
 
-    The epoch is integrated in closed form: its end membrane is W d, where
-    d sums each device's states weighted by the leak left after them. The
-    devices come bit-packed (DevicePool.sample_epochs), so d is a sum of
-    one table lookup per byte of 8 steps, and no ±1 array is formed.
+    The LIF epoch is solved in closed form, with no population object: the
+    end membrane is W d, with W a read-only copy of the relaxation rows and d
+    the device states weighted by the leak left after them. The devices come
+    bit-packed, so d sums one table lookup per byte of 8 steps.
     """
 
     def __init__(self, graph: Graph, solution: SdpSolution, seed: int,
@@ -82,13 +82,12 @@ class GwCircuit:
         if solution.vectors.shape[0] != graph.n:
             raise ValueError("solution size does not match the graph")
         self.graph = graph
-        self.solution = solution
         self.config = config
-        self.seed = int(seed)
         self.pool = DevicePool(solution.rank, seed=seed)
-        self.pop = LifPopulation(solution.vectors, alpha=config.alpha)
+        self._weights = np.array(solution.vectors, dtype=float)
+        self._weights.setflags(write=False)
         k = config.epoch_steps
-        q = 1.0 - self.pop.alpha
+        q = 1.0 - float(config.alpha)
         # closed-form weight of step t in the end-of-epoch membrane, t = 0..k-1,
         # zero past k so the last byte's spare bits add nothing
         decay = np.zeros(-(-k // 8) * 8)
@@ -105,23 +104,17 @@ class GwCircuit:
         With out, a C-contiguous (count, n) float64 array, the membranes are
         written into it and out itself is returned: the result aliases the
         caller's buffer, and the next call that fills the buffer overwrites
-        it. The epochs are the same either way. A count that is not an
-        integer raises ValueError.
+        it. The epochs are the same either way. A count that is not a
+        positive integer raises ValueError.
         """
         count = _whole(count, "count")
-        k = self.config.epoch_steps
         if out is None:
             out = np.empty((count, self.graph.n))
         elif out.shape != (count, self.graph.n):
             raise ValueError(f"out has shape {out.shape}, expected ({count}, {self.graph.n})")
-        done = 0
-        while done < count:
-            b = min(_BATCH, count - done)
-            codes = self.pool.sample_epochs(b, k)
-            drive = sum(row.take(codes[..., j]) for j, row in enumerate(self._table))
-            np.matmul(drive, self.pop.weights.T, out=out[done:done + b])
-            done += b
-        return out
+        codes = self.pool.sample_epochs(count, self.config.epoch_steps)
+        drive = sum(row.take(codes[..., j]) for j, row in enumerate(self._table))
+        return np.matmul(drive, self._weights.T, out=out)
 
     def sample_cuts(self, count: int) -> np.ndarray:
         """(count, n) int8 array of ±1 labels, one independent epoch per row.
@@ -154,9 +147,6 @@ class TrevisanCircuit:
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
-        self.graph = graph
-        self.config = config
-        self.seed = int(seed)
         q = 1.0 - config.alpha
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
         self.pop = LifPopulation(trevisan_matrix(graph) * np.sqrt(1.0 - q * q), alpha=config.alpha)

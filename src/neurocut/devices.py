@@ -31,7 +31,6 @@ class DevicePool:
         if count < 1:
             raise ValueError("a pool needs at least one device")
         self.count = count
-        self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:

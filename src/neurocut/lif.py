@@ -39,9 +39,6 @@ class LifPopulation:
         self._leak = np.tril(q ** np.abs(lag))
         self._carry = q ** np.arange(1, _CHUNK + 1)
 
-    def reset(self) -> None:
-        self.V[:] = 0.0
-
     def step(self, states, out: np.ndarray | None = None) -> np.ndarray:
         """Advance one timestep per device state; returns the membranes.
 
@@ -75,8 +72,8 @@ class LifPopulation:
     def simulate(self, states) -> np.ndarray:
         """Membrane trajectory for a (T, r) state sequence starting from V = 0.
 
-        The same block kernel as step() from a zero membrane, equivalent to
-        reset() followed by T single steps; does not touch the live membrane.
+        The same block kernel as step() from a zero membrane, equivalent to T
+        single steps of a fresh population; does not touch the live membrane.
         """
         s = np.asarray(states, dtype=float)
         if s.ndim != 2 or s.shape[1] != self.r:

@@ -16,6 +16,7 @@ ENUM_LIMIT = 26
 _BLOCK = 1 << 18
 # Rounding rows per sign read in reference_hyperplane_rounds.
 _ROUND_ROWS = 256
+_DEGENERATE_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,16 @@ class SpectralCutResult:
     min_eigenvalue: float
 
 
-def spectral_cut(g: Graph, gap_tol: float = 1e-8) -> SpectralCutResult:
+def spectral_cut(g: Graph) -> SpectralCutResult:
     """Sign cut from the minimum eigenvector of I + normalized adjacency.
 
     Labels are +1 where the eigenvector entry is positive and -1 otherwise
     (isolated vertices always get -1). degenerate=True flags a minimum
-    eigenvalue of multiplicity > 1 within gap_tol; the returned cut then uses
-    one arbitrary eigenvector from the bottom eigenspace.
+    eigenvalue of multiplicity > 1 within _DEGENERATE_GAP; the returned cut
+    then uses one arbitrary eigenvector from the bottom eigenspace.
     """
     vals, vecs = np.linalg.eigh(trevisan_matrix(g))
-    degenerate = g.n > 1 and float(vals[1] - vals[0]) <= gap_tol
+    degenerate = g.n > 1 and float(vals[1] - vals[0]) <= _DEGENERATE_GAP
     labels = np.where(vecs[:, 0] > 0, 1, -1).astype(np.int8)
     labels[g.degrees == 0] = -1
     return SpectralCutResult(labels, degenerate, float(vals[0]))

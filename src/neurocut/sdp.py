@@ -22,7 +22,6 @@ Ozdaglar, Parrilo & Vanli 2018, block-coordinate Burer-Monteiro).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,22 +167,3 @@ def format_solution(solution: SdpSolution) -> str:
     lines += [" ".join(f"{x:.17g}" for x in row) for row in solution.vectors]
     return "\n".join(lines) + "\n"
 
-
-def load_solution(path) -> SdpSolution:
-    """Read a file holding format_solution text. Solver diagnostics are not serialized, so the
-    loaded solution carries grad_norm=None, iterations=None, converged=True."""
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty solution file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("header must be 'n r objective'")
-    n, r = int(head[0]), int(head[1])
-    objective = float(head[2])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} vector rows, found {len(lines) - 1}")
-    vectors = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]], dtype=float)
-    if vectors.shape != (n, r):
-        raise ValueError(f"vector block has shape {vectors.shape}, header says ({n}, {r})")
-    return SdpSolution(vectors, r, objective, None, None, True)

@@ -65,12 +65,11 @@ def test_gw_epoch_matches_explicit_step_loop(c4):
     circ = GwCircuit(c4, sol, seed=7, config=cfg)
     membranes = circ.epoch_membranes(3)
     # replay: the same bit-packed epochs, unpacked to ±1 and fed through the
-    # step recurrence one state at a time, reset per epoch
+    # step recurrence one state at a time, a fresh population per epoch
     bits = np.unpackbits(DevicePool(sol.rank, seed=7).sample_epochs(3, cfg.epoch_steps),
                          axis=2, count=cfg.epoch_steps, bitorder="little")
-    pop = LifPopulation(sol.vectors, alpha=cfg.alpha)
     for epoch in range(3):
-        pop.reset()
+        pop = LifPopulation(sol.vectors, alpha=cfg.alpha)
         for s in 2.0 * bits[epoch].T - 1.0:
             v = pop.step(s)
         assert np.allclose(membranes[epoch], v, atol=1e-10)
@@ -100,6 +99,14 @@ def test_gw_samples_are_stream_split_invariant(c4):
     batch = a.sample_cuts(8)
     singles = np.array([b.sample_cuts(1)[0] for _ in range(8)])
     assert np.array_equal(batch, singles)
+
+
+def test_gw_samples_ignore_later_edits_to_the_solution(c4):
+    sol = solve_gw_sdp(c4)
+    want = GwCircuit(c4, sol, seed=5).sample_cuts(64)
+    circ = GwCircuit(c4, sol, seed=5)
+    sol.vectors *= -1.0  # would flip every label of a circuit that shared the array
+    assert np.array_equal(circ.sample_cuts(64), want)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +166,8 @@ def test_gw_validates_solution_size(k3, c4):
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
     ("epoch_steps", 0), ("eta0", 0.0), ("eta0", float("nan")), ("tau", -1.0),
     ("rank", 1), ("sdp_tol", -1e-9), ("sdp_tol", float("nan")), ("sdp_max_iter", -1),
+    *[(f, v) for f in ("epoch_steps", "rank", "sdp_max_iter") for v in (2.5, 2.0, "3", None)
+      if (f, v) != ("sdp_max_iter", None)],
 ])
 def test_circuit_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} = "):
@@ -167,6 +176,7 @@ def test_circuit_config_rejects_out_of_range(field, value):
 
 def test_circuit_config_accepts_boundary_values():
     CircuitConfig(epoch_steps=1, rank=2, sdp_tol=0.0, sdp_max_iter=0)
+    CircuitConfig(epoch_steps=np.int64(1), rank=np.int64(2), sdp_max_iter=np.int64(0))
     assert CircuitConfig(sdp_max_iter=None).sdp_max_iter is None
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from neurocut import cli, load_graph, load_solution
+from neurocut import cli, load_graph
 from neurocut.cli import main
 
 K3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
@@ -118,8 +118,8 @@ def test_solve_sdp_stdout_and_file(k3_file, tmp_path, capsys):
 
     path = tmp_path / "sol.txt"
     assert main(["solve-sdp", k3_file, "--seed", "2", "--out", str(path)]) == 0
-    sol = load_solution(path)
-    assert sol.objective == pytest.approx(2.25, abs=1e-5)
+    head = path.read_text(encoding="utf-8").splitlines()[0].split()
+    assert float(head[2]) == pytest.approx(2.25, abs=1e-5)
 
 
 def test_solve_sdp_warns_when_capped(k3_file, capsys):
@@ -176,6 +176,24 @@ def test_bench_jobs_zero_exits_1(tmp_path, capsys):
                    "methods = random\ncustom_grid = true\n", encoding="utf-8")
     assert main(["bench", "--config", str(cfg), "--jobs", "0"]) == 1
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, problem", [
+    ("er_n = 20\nmethods = random, random\n", "method 'random' is listed twice"),
+    ("er_n = 0\ncustom_grid = true\n", "er_n must hold positive vertex counts, not 0"),
+    ("er_n = 10, -3\ncustom_grid = true\n", "er_n must hold positive vertex counts, not -3"),
+], ids=["repeated-method", "zero-n", "negative-n"])
+def test_bench_rejects_repeated_method_and_non_positive_n(lines, problem, tmp_path, capsys):
+    # rejected before any job runs: a repeated method doubled its rows and a
+    # zero n failed every job while bench still exited 0
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("er_p = 0.5\ner_graphs_per_cell = 1\nsamples = 16\n" + lines,
+                   encoding="utf-8")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "res")]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {problem}" in captured.err
+    assert "failed" not in captured.err and captured.out == ""
+    assert not (tmp_path / "res").exists()
 
 
 def test_bench_missing_config_exits_1(tmp_path):

@@ -8,14 +8,11 @@ from neurocut import (
     SdpSolution,
     SolverConfig,
     brute_force_maxcut,
-    effective_rank,
     generate_erdos_renyi,
-    load_solution,
-    normalize_rows,
     sdp_objective,
     solve_gw_sdp,
 )
-from neurocut.sdp import _colour_classes, format_solution
+from neurocut.sdp import _colour_classes, effective_rank, format_solution, normalize_rows
 
 
 def test_effective_rank_clamps_tiny_graphs():
@@ -217,28 +214,14 @@ def test_objective_bounded_by_edge_count(n, seed):
     assert -1e-9 <= sol.objective <= g.m + 1e-9
 
 
-def test_save_load_round_trip(tmp_path, petersen):
+def test_save_load_round_trip(petersen):
     sol = solve_gw_sdp(petersen)
-    path = tmp_path / "sol.txt"
-    path.write_text(format_solution(sol), encoding="utf-8")
-    back = load_solution(path)
-    assert np.array_equal(back.vectors, sol.vectors)  # 17 digits: exact float64
-    assert back.objective == sol.objective
-    assert back.rank == sol.rank
-    assert back.converged and back.grad_norm is None and back.iterations is None
-
-
-def test_load_solution_validates(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_solution(p)
-    p.write_text("2 2 1.0\n1 0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_solution(p)  # missing a row
-    p.write_text("2 2 1.0\n1 0\n0 1 0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_solution(p)  # ragged row width
+    head, *rows = format_solution(sol).splitlines()
+    n, rank, objective = head.split()
+    assert (int(n), int(rank)) == (petersen.n, sol.rank)
+    assert float(objective) == sol.objective  # 17 digits: exact float64
+    back = np.array([[float(tok) for tok in row.split()] for row in rows])
+    assert np.array_equal(back, sol.vectors)
 
 
 def test_solution_dataclass_n_property():
