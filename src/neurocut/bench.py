@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -245,6 +244,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     jobs = [(cfg, gid, src) for gid, src in _job_list(cfg)]
     if cfg.jobs > 1 and len(jobs) > 1:
+        # imported here: the pool machinery costs import time and RSS that jobs = 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_run_graph_job, jobs))
     else:

@@ -28,9 +28,10 @@ class ParseError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as an (m, 2) integer array with each row (i, j), i < j,
-    deduplicated and sorted lexicographically. Instances are treated as
-    immutable after construction and are safe to share across workers.
+    Edges are stored as a read-only (m, 2) int64 array with each row (i, j),
+    i < j, deduplicated and sorted lexicographically, so reversed and repeated
+    input pairs merge and input order does not matter. Instances are treated
+    as immutable after construction and are safe to share across workers.
     """
 
     def __init__(self, n: int, edges) -> None:
@@ -44,7 +45,12 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
             lo = np.minimum(pairs[:, 0], pairs[:, 1])
             hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            pairs = np.unique(np.column_stack([lo, hi]), axis=0)
+            # one sort on two int64 keys (lo first), then the first row of each equal run
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            keep = np.ones(len(lo), dtype=bool)
+            keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            pairs = np.column_stack([lo[keep], hi[keep]])
         else:
             pairs = pairs.reshape(0, 2)
         pairs.setflags(write=False)
@@ -247,7 +253,7 @@ def _split_entry(raw: str, lineno: int):
 
 def _parse_edge_list(lines, base: int) -> Graph:
     order: dict[int, int] = {}
-    edges = set()
+    edges = []
     saw_data = False
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -264,11 +270,10 @@ def _parse_edge_list(lines, base: int) -> Graph:
                 order[vid] = len(order)
         if u == v:
             continue
-        a, b = order[u], order[v]
-        edges.add((min(a, b), max(a, b)))
+        edges.append((order[u], order[v]))
     if not saw_data:
         raise ValueError("empty edge-list file")
-    return Graph(len(order), sorted(edges))
+    return Graph(len(order), edges)
 
 
 def _parse_matrix_market(lines) -> Graph:
@@ -302,7 +307,7 @@ def _parse_matrix_market(lines) -> Graph:
         raise ParseError("matrix dimension must be positive", lineno)
     size_line = lineno
     entries = 0
-    edges = set()
+    edges = []
     for lineno, raw in it:
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -315,11 +320,10 @@ def _parse_matrix_market(lines) -> Graph:
             continue
         if u == v:
             continue
-        a, b = u - 1, v - 1
-        edges.add((min(a, b), max(a, b)))
+        edges.append((u - 1, v - 1))
     if entries != nnz:
         raise ParseError(f"size line declares {nnz} entries, found {entries}", size_line)
-    return Graph(rows, sorted(edges))
+    return Graph(rows, edges)
 
 
 def save_graph(g: Graph, stream, fmt: str = "matrix-market") -> None:

@@ -60,6 +60,44 @@ def test_graph_equality_and_hash(k3):
     assert k3 != Graph(3, [(0, 1)])
 
 
+@st.composite
+def messy_edge_lists(draw):
+    """(n, pairs) with n <= 40: shuffled pairs with reversed and repeated copies.
+
+    Covers no edges at all (n = 1, or an empty draw) and lists that hold one
+    edge only, in both orientations.
+    """
+    n = draw(st.integers(1, 40))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda t: (t[0], (t[0] + t[1]) % n))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(pair, max_size=80))
+    else:
+        pairs = [draw(pair)] * draw(st.integers(1, 5))
+    if pairs:
+        copies = draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans()), max_size=40))
+        for k, flip in copies:
+            u, v = pairs[k % len(pairs)]
+            pairs.append((v, u) if flip else (u, v))
+    order = draw(st.permutations(range(len(pairs))))
+    return n, [pairs[k] for k in order]
+
+
+@given(messy_edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_dedupe_matches_unique_reference(case):
+    n, pairs = case
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    g = Graph(n, pairs)
+    assert np.array_equal(g.edges, np.unique(np.sort(e, axis=1), axis=0))
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.m, 2)
+    assert g.edges.flags.c_contiguous and not g.edges.flags.writeable
+    canonical = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+    assert g.edges.tobytes() == canonical.edges.tobytes()
+    assert g == canonical and hash(g) == hash(canonical)
+
+
 # --- cut scoring ------------------------------------------------------------
 
 def random_labels(n, seed):
@@ -392,6 +430,35 @@ def test_format_detection_by_suffix(tmp_path):
     assert load_graph(txt).n == 2
     with pytest.raises(ValueError):
         load_graph(txt, fmt="pajek")
+
+
+def _messy_copy(lines, seed):
+    """lines shuffled, about half of them reversed, and a third of them repeated."""
+    rng = np.random.default_rng(seed)
+    out = [" ".join(ln.split()[::-1]) if rng.random() < 0.5 else ln for ln in lines]
+    out += [out[k] for k in rng.choice(len(out), size=len(out) // 3, replace=False)]
+    return [out[k] for k in rng.permutation(len(out))]
+
+
+def test_load_ignores_line_order_reversal_and_repeats(tmp_edge_list, tmp_mtx):
+    g = generate_erdos_renyi(30, 0.3, 11)
+    body = [f"{u + 1} {v + 1}" for u, v in g.edges.tolist()]
+    # edge-list ids are numbered by first appearance, so a path through
+    # 1..n fixes that order in both files; every edge then follows it
+    path = [f"{k} {k + 1}" for k in range(1, g.n)]
+    want = load_graph(tmp_edge_list(path + body, name="sorted.txt"))
+    variants = [(body + path)[::-1]] + [_messy_copy(body + path, seed) for seed in range(3)]
+    for k, messy in enumerate(variants):
+        got = load_graph(tmp_edge_list(path + messy, name=f"messy{k}.txt"))
+        assert got.edges.tobytes() == want.edges.tobytes() and got.n == want.n
+
+    header = ["%%MatrixMarket matrix coordinate pattern symmetric"]
+    want = load_graph(tmp_mtx(header + [f"{g.n} {g.n} {len(body)}"] + body, name="sorted.mtx"))
+    assert want == g
+    variants = [body[::-1]] + [_messy_copy(body, seed) for seed in range(3)]
+    for k, messy in enumerate(variants):
+        got = load_graph(tmp_mtx(header + [f"{g.n} {g.n} {len(messy)}"] + messy, name=f"messy{k}.mtx"))
+        assert got.edges.tobytes() == want.edges.tobytes() and got.n == want.n
 
 
 # --- save/round-trip --------------------------------------------------------

@@ -7,13 +7,23 @@ from pathlib import Path
 import neurocut
 
 
-def test_import_loads_no_scipy():
+def _loaded_by_import(*packages):
+    """Modules of the given top-level packages that `import neurocut` loads in a fresh process."""
     env = {**os.environ, "PYTHONPATH": str(Path(neurocut.__file__).resolve().parents[1])}
-    code = "import sys, neurocut; print('scipy' in sys.modules)"
+    code = f"import sys, neurocut; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only run_experiment with jobs > 1 needs the pool, so it imports it there
+    assert _loaded_by_import("concurrent", "multiprocessing") == "[]"
 
 
 def test_readme_python_blocks_run():

@@ -191,6 +191,21 @@ def test_negative_limits_rejected(k3, cfg):
         solve_gw_sdp(k3, config=cfg)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 2.0, "3"])
+def test_fractional_max_iter_rejected(k3, max_iter):
+    with pytest.raises(ValueError, match=r"max_iter = .* must be an integer"):
+        solve_gw_sdp(k3, config=SolverConfig(max_iter=max_iter))
+
+
+@pytest.mark.parametrize("max_iter", [None, np.int64(2), np.int32(2), 2])
+def test_integer_and_none_max_iter_accepted(petersen, max_iter):
+    sol = solve_gw_sdp(petersen, config=SolverConfig(max_iter=max_iter))
+    if max_iter is None:
+        assert sol.converged
+    else:
+        assert sol.iterations == 2 and not sol.converged
+
+
 def test_edgeless_graph_trivial_relaxation():
     sol = solve_gw_sdp(Graph(4, []))
     assert sol.objective == 0.0
