@@ -247,6 +247,30 @@ def trajectory_from_sampler(graph: Graph, sampler, total_samples: int, method: s
     return checkpoint_trajectory(best_of, total_samples, method, seed, graph_id)
 
 
+def _random_labels(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
+    """(b, n) int8 labels, bit for bit rng.integers(0, 2, size=(b, n), dtype=np.int8) * 2 - 1.
+
+    numpy draws a bounded int8 in [0, 2) by Lemire's multiply-shift on one
+    byte: (byte * 2) >> 8, the byte's top bit; its rejection threshold,
+    (2^8 - 2) mod 2, is 0, so no byte is ever redrawn. Each call takes its
+    bytes low byte first from fresh 32-bit generator words, drops the unused
+    bytes of its last word, and leaves the generator's buffered half of a
+    64-bit word to the next draw. ceil(b·n/4) full-range uint32 words are the
+    same 32-bit draws, taken the same way, so the labels and the stream
+    position after the call both match, without numpy's per-byte bounded loop.
+    """
+    k = b * n
+    words = rng.integers(0, 1 << 32, size=-(-k // 4), dtype=np.uint32)
+    # bytes in little-endian order, the order the int8 draw consumes them;
+    # top bit to ±1 in place, so the word buffer is the label buffer
+    top = words.astype("<u4", copy=False).view(np.uint8)[:k]
+    top >>= 7
+    labels = top.view(np.int8)
+    labels *= 2
+    labels -= 1
+    return labels.reshape(b, n)
+
+
 def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
                    config: CircuitConfig = CircuitConfig(),
                    solution: SdpSolution | None = None,
@@ -258,16 +282,17 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     is supplied); 'trevisan' advances the learner one step per sample and
     scores a sign read at every checkpoint, tracking the best read so far.
     All randomness derives from seed, so repeated calls agree bit for bit.
+
+    Random labels are the top bits of the bytes of whole 32-bit generator
+    words (_random_labels): the bits that rng.integers(0, 2, dtype=np.int8)
+    reads from the same words, so the labels and the generator's state after
+    each batch match that draw bit for bit.
     """
     if method == "random":
         rng = np.random.default_rng(derive_seed(seed, "random-cuts"))
 
         def sampler(b):
-            # {0, 1} to ±1 in place, with no second batch-sized array
-            labels = rng.integers(0, 2, size=(b, graph.n), dtype=np.int8)
-            labels *= 2
-            labels -= 1
-            return labels
+            return _random_labels(rng, b, graph.n)
 
         return trajectory_from_sampler(graph, sampler, total_samples, "random", seed, graph_id)
 

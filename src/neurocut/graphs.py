@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from .devices import _whole
+
 # Label rows per scoring slice in cut_values.
 _SLICE = 256
 # Vertices per row block of the upper-triangle walk in _score_rows.
@@ -30,14 +32,22 @@ class Graph:
 
     Edges are stored as a read-only (m, 2) int64 array with each row (i, j),
     i < j, deduplicated and sorted lexicographically, so reversed and repeated
-    input pairs merge and input order does not matter. Instances are treated
-    as immutable after construction and are safe to share across workers.
+    input pairs merge and input order does not matter. n and the endpoints
+    must be integers (Python or numpy): a non-integer n, or edges of a float,
+    bool or string dtype, raise ValueError rather than being cast. Instances
+    are treated as immutable after construction and are safe to share across
+    workers.
     """
 
     def __init__(self, n: int, edges) -> None:
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            # a cast would truncate 1.7 to 1 and read True as 1
+            raise ValueError(f"edge endpoints must be integers, not {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -54,7 +64,7 @@ class Graph:
         else:
             pairs = pairs.reshape(0, 2)
         pairs.setflags(write=False)
-        self.n = int(n)
+        self.n = n
         self.edges = pairs
         self._adjacency: np.ndarray | None = None
         self._upper: np.ndarray | None = None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
@@ -112,7 +111,11 @@ class OjaState:
         g: list = []
         for t, (pt, gt) in enumerate(zip(p, gram)):
             eta = eta0 / (1.0 + (t0 + t) / tau)
-            y = s * (pt - sum(map(mul, g, gt)))
+            # left to right on purpose: sum() of floats compensates from Python 3.12
+            acc = 0.0
+            for gk, gkt in zip(g, gt):
+                acc += gk * gkt
+            y = s * (pt - acc)
             a = 1.0 + eta * (y * y + 1.0 - wnorm2)
             b = eta * y
             wnorm2 = a * a * wnorm2 - 2.0 * a * b * y + b * b * gt[t]

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurocut import (
@@ -26,7 +26,7 @@ from neurocut import (
     trajectory_from_sampler,
     trevisan_matrix,
 )
-from neurocut.circuits import _BATCH, _SLICE
+from neurocut.circuits import _BATCH, _SLICE, _random_labels
 from neurocut.seeding import derive_seed
 
 from conftest import warm_peak_bytes
@@ -389,6 +389,30 @@ def test_random_trajectory_equals_the_whole_batch_expression(n, total):
 
     want = trajectory_from_sampler(g, reference, total, "random", 9)
     assert run_trajectory("random", g, total, seed=9).checkpoints == want.checkpoints
+
+
+@given(st.integers(1, 40), st.lists(st.integers(1, 64), min_size=1, max_size=8),
+       st.integers(0, 2 ** 63))
+# b·n mod 4 runs through 1, 2, 3, 0, 1 over draws of 1, 1, 1, 1 and 2 words;
+# the first and third calls leave the buffered half of a 64-bit word, which
+# the next call must read first
+@example(n=1, batches=[1, 2, 3, 4, 5], seed=0)
+# odd word counts in a row (3, 7, 5): the second call starts on a buffered
+# half-word, and the last leaves one for the draw after the batches
+@example(n=3, batches=[4, 9, 6], seed=1)
+@settings(max_examples=200, deadline=None)
+def test_random_labels_equal_the_int8_draw(n, batches, seed):
+    ref = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    for b in batches:
+        want = ref.integers(0, 2, size=(b, n), dtype=np.int8) * 2 - 1
+        got = _random_labels(rng, b, n)
+        assert got.dtype == np.int8 and got.shape == (b, n)
+        np.testing.assert_array_equal(got, want)
+    # a 32-bit draw reads the buffered half-word first, if there is one
+    assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+        ref.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+    assert rng.integers(0, 1 << 63) == ref.integers(0, 1 << 63)
 
 
 def test_trajectory_from_sampler_draw_budget(k3):

@@ -40,6 +40,48 @@ def test_rejects_self_loop_and_range():
         Graph(0, [])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1.7), (1.2, 2)],
+    [(0.0, 1.0)],
+    np.array([[0, 1]], dtype=np.float32),
+    [(True, False)],
+    np.array([[0, 1]], dtype=bool),
+    [("0", "1")],
+    np.array([["0", "2"]]),
+], ids=["float-list", "whole-float-list", "float32", "bool-list", "bool-array", "str-list",
+        "str-array"])
+def test_rejects_non_integer_endpoints(edges):
+    # a cast would read 1.7 as 1, True as 1 and "2" as 2
+    with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
+def test_rejects_non_integer_vertex_count(n):
+    with pytest.raises(ValueError, match="n = .* must be an integer"):
+        Graph(n, [(0, 1)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(np.int64(2), np.int32(1)), (0, 1)],
+    np.array([[2, 1], [0, 1]], dtype=np.int32),
+    np.array([[2, 1], [0, 1]], dtype=np.uint8),
+    np.array([[2, 1], [0, 1]], dtype=np.uint64),
+], ids=["scalars", "int32", "uint8", "uint64"])
+def test_accepts_numpy_integers(edges):
+    g = Graph(np.int64(3), edges)
+    assert type(g.n) is int and g.n == 3
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert g == Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("edges", [[], (), np.empty((0, 2)), np.empty(0, dtype=np.float32)])
+def test_empty_edge_list_of_any_dtype_is_valid(edges):
+    g = Graph(4, edges)
+    assert g.m == 0 and g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+
 def test_adjacency_and_degrees(k3, c4):
     a = k3.adjacency
     assert a.shape == (3, 3)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurocut import NumericalDivergenceError, OjaState
+from neurocut.plasticity import _SUB
 
 
 @pytest.mark.parametrize("field", ["eta0", "tau"])
@@ -131,6 +132,50 @@ def test_block_update_equals_vector_updates(n, rows, seed, magnitude, eta0):
     err = np.max(np.abs(block.w - vector.w))
     assert err <= 1e-12 * np.max(np.abs(vector.w))
     assert block._wnorm2 == float(block.w @ block.w)
+
+
+def _gram_steps_left_to_right(w0, x, eta0, tau, t0, wnorm2):
+    """One Gram-form sub-block, step by step, each sum taken left to right."""
+    p = (x @ w0).tolist()
+    gram = (x @ x.T).tolist()
+    s = 1.0
+    g = []
+    for t in range(len(p)):
+        eta = eta0 / (1.0 + (t0 + t) / tau)
+        acc = 0.0
+        for k in range(t):
+            acc += g[k] * gram[t][k]
+        y = s * (p[t] - acc)
+        a = 1.0 + eta * (y * y + 1.0 - wnorm2)
+        b = eta * y
+        wnorm2 = a * a * wnorm2 - 2.0 * a * b * y + b * b * gram[t][t]
+        s *= a
+        g.append(b / s)
+    w = w0 - np.asarray(g) @ x
+    w *= s
+    return w, t0 + len(p), float(w @ w)
+
+
+@given(st.integers(1, 40), st.integers(1, _SUB), st.integers(0, 2 ** 31),
+       st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_gram_sub_block_is_a_plain_left_to_right_sum(n, rows, seed, magnitude, t0):
+    # bit for bit: a compensated sum (Python 3.12's sum() of floats) or any
+    # other order would move w, and with it every lif-trevisan row
+    rng = np.random.default_rng(seed)
+    w0 = rng.standard_normal(n)
+    w0 /= np.linalg.norm(w0)
+    x = rng.standard_normal((rows, n))
+    x /= np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
+    x *= magnitude
+    state = OjaState(w0, eta0=5e-3, tau=1e4)
+    state.t = t0
+    want_w, want_t, want_norm2 = _gram_steps_left_to_right(
+        w0, x, state.eta0, state.tau, t0, state._wnorm2)
+    state._update_gram(x)
+    assert state.w.tobytes() == want_w.tobytes()
+    assert state.t == want_t
+    assert state._wnorm2 == want_norm2
 
 
 def test_divergence_message_names_schedule():
