@@ -17,16 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import CircuitConfig, run_trajectory, trajectory_from_sampler
-from .graphs import Graph, generate_erdos_renyi, load_graph
-from .oracles import ENUM_LIMIT, brute_force_maxcut, reference_hyperplane_rounds
-from .sdp import SolverConfig, solve_gw_sdp
+from .circuits import CircuitConfig, run_trajectory
+from .graphs import generate_erdos_renyi, load_graph
+from .oracles import ENUM_LIMIT, brute_force_maxcut
+from .sdp import solve_gw_sdp
 from .seeding import RNG_ALGORITHM, derive_seed
 
 CSV_HEADER = "graph_id,n,p,method,seed,samples,best_cut,solver_cut,ratio"
 
-BENCH_METHODS = ("lif-gw", "lif-trevisan", "solver-rounding", "random")
-_METHOD_MAP = {"lif-gw": "gw", "lif-trevisan": "trevisan", "random": "random"}
+_METHOD_MAP = {"lif-gw": "gw", "lif-trevisan": "trevisan",
+               "solver-rounding": "solver-rounding", "random": "random"}
+BENCH_METHODS = tuple(_METHOD_MAP)
 
 # Grid values used by the standard experiment scales; anything else needs the
 # custom_grid flag so accidental typos do not silently change the protocol.
@@ -169,39 +170,46 @@ def _materialize(cfg: ExperimentConfig, source) -> tuple:
 def _run_graph_job(args) -> tuple:
     """One graph, all methods. Returns (rows, meta, failures).
 
-    failures holds (graph_id, message) pairs. A method that raises loses only
-    its own rows, and its message names it.
+    failures holds (graph_id, message) pairs. The solver baseline runs first:
+    if it or the relaxation fails, the job loses every row. Any other method
+    that raises loses only its own rows, and its message names it.
     """
     cfg, graph_id, source = args
     meta: dict = {}
+
+    def trajectory(method):
+        return run_trajectory(_METHOD_MAP[method], g, cfg.samples,
+                              derive_seed(cfg.base_seed, graph_id, method), cfg.circuit,
+                              solution=solution, graph_id=graph_id)
+
     try:
         g, p = _materialize(cfg, source)
-        solver_traj, solution = _solver_baseline(cfg, graph_id, g, meta)
+        sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
+        solution = solve_gw_sdp(g, cfg.circuit.rank, cfg.circuit.solver_config(sdp_seed))
+        meta[f"job.{graph_id}.sdp_seed"] = str(sdp_seed)
+        meta[f"job.{graph_id}.sdp_objective"] = f"{solution.objective:.6f}"
+        meta[f"job.{graph_id}.sdp_grad_norm"] = f"{solution.grad_norm:.3e}"
+        meta[f"job.{graph_id}.sdp_converged"] = str(solution.converged)
+        meta[f"job.{graph_id}.sdp_iterations"] = str(solution.iterations)
+        baseline = trajectory("solver-rounding")
     except (ValueError, OSError) as err:
         return [], meta, [(graph_id, str(err))]
-    solver_at = dict(solver_traj.checkpoints)
+    solver_at = dict(baseline.checkpoints)
 
     rows = []
     failures = []
     for method in cfg.methods:
-        if method == "solver-rounding":
-            traj = solver_traj
-            seed = solver_traj.seed
-        else:
-            seed = derive_seed(cfg.base_seed, graph_id, method)
-            try:
-                traj = run_trajectory(_METHOD_MAP[method], g, cfg.samples, seed, cfg.circuit,
-                                      solution=solution if method == "lif-gw" else None,
-                                      graph_id=graph_id)
-            except (RuntimeError, ValueError) as err:
-                failures.append((graph_id, f"{method}: {err}"))
-                continue
-        meta[f"job.{graph_id}.{method}.seed"] = str(seed)
+        try:
+            traj = baseline if method == "solver-rounding" else trajectory(method)
+        except (RuntimeError, ValueError) as err:
+            failures.append((graph_id, f"{method}: {err}"))
+            continue
+        meta[f"job.{graph_id}.{method}.seed"] = str(traj.seed)
         meta[f"job.{graph_id}.{method}.wall_time"] = f"{traj.wall_times[-1]:.3f}"
         for (samples, best), wall in zip(traj.checkpoints, traj.wall_times):
             solver_cut = solver_at[samples]
             ratio = best / solver_cut if solver_cut > 0 else None
-            rows.append(ResultRow(graph_id, g.n, p, method, seed, samples,
+            rows.append(ResultRow(graph_id, g.n, p, method, traj.seed, samples,
                                   best, solver_cut, ratio, wall))
 
     if cfg.self_test and g.n <= ENUM_LIMIT:
@@ -212,27 +220,6 @@ def _run_graph_job(args) -> tuple:
                 message = f"best cut {row.best_cut} exceeds exact optimum {opt}"
                 return [], meta, failures + [(graph_id, message)]
     return rows, meta, failures
-
-
-def _solver_baseline(cfg: ExperimentConfig, graph_id: str, g: Graph, meta: dict) -> tuple:
-    """Best-of-budget direct roundings of the relaxation."""
-    seed = derive_seed(cfg.base_seed, graph_id, "solver-rounding")
-    sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
-    solution = solve_gw_sdp(g, cfg.circuit.rank,
-                            SolverConfig(tol=cfg.circuit.sdp_tol,
-                                         max_iter=cfg.circuit.sdp_max_iter, seed=sdp_seed))
-    meta[f"job.{graph_id}.sdp_seed"] = str(sdp_seed)
-    meta[f"job.{graph_id}.sdp_objective"] = f"{solution.objective:.6f}"
-    meta[f"job.{graph_id}.sdp_grad_norm"] = f"{solution.grad_norm:.3e}"
-    meta[f"job.{graph_id}.sdp_converged"] = str(solution.converged)
-    meta[f"job.{graph_id}.sdp_iterations"] = str(solution.iterations)
-    rng = np.random.default_rng(seed)
-
-    def sampler(b):
-        return reference_hyperplane_rounds(solution.vectors, b, rng)
-
-    traj = trajectory_from_sampler(g, sampler, cfg.samples, "solver-rounding", seed, graph_id)
-    return traj, solution
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .devices import DevicePool, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
 from .lif import LifPopulation
+from .oracles import reference_hyperplane_rounds
 from .plasticity import OjaState
 from .sdp import SdpSolution, SolverConfig, solve_gw_sdp
 from .seeding import derive_seed
@@ -26,7 +28,7 @@ _BATCH = 4096
 # Epochs per sign read in GwCircuit.sample_cuts.
 _SLICE = 256
 
-METHODS = ("gw", "trevisan", "random")
+METHODS = ("gw", "trevisan", "solver-rounding", "random")
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,10 @@ class CircuitConfig:
             raise ValueError(f"sdp_tol = {self.sdp_tol} must be >= 0")
         if self.sdp_max_iter is not None and _whole(self.sdp_max_iter, "sdp_max_iter") < 0:
             raise ValueError(f"sdp_max_iter = {self.sdp_max_iter} must be >= 0")
+
+    def solver_config(self, seed: int) -> SolverConfig:
+        """The relaxation solver's settings under this config, started from seed."""
+        return SolverConfig(tol=self.sdp_tol, max_iter=self.sdp_max_iter, seed=seed)
 
 
 class GwCircuit:
@@ -277,34 +283,22 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
                    graph_id: str = "") -> CutTrajectory:
     """Run one method on one graph and record the best cut at each checkpoint.
 
-    method 'random' scores one uniform ±1 assignment per sample; 'gw' scores
-    one circuit epoch per sample (solving the relaxation first if no solution
-    is supplied); 'trevisan' advances the learner one step per sample and
-    scores a sign read at every checkpoint, tracking the best read so far.
-    All randomness derives from seed, so repeated calls agree bit for bit.
+    method 'random' scores one uniform ±1 assignment per sample; 'gw' one
+    circuit epoch per sample; 'solver-rounding', the software baseline, one
+    direct hyperplane rounding of the relaxation per sample; 'trevisan'
+    advances the learner one step per sample and scores a sign read at every
+    checkpoint, tracking the best read so far. 'gw' and 'solver-rounding'
+    solve the relaxation first, from derive_seed(seed, "sdp"), if no solution
+    is supplied; the other methods ignore it. All randomness derives from
+    seed, so repeated calls agree bit for bit.
 
     Random labels are the top bits of the bytes of whole 32-bit generator
     words (_random_labels): the bits that rng.integers(0, 2, dtype=np.int8)
     reads from the same words, so the labels and the generator's state after
-    each batch match that draw bit for bit.
+    each batch match that draw bit for bit. The solver's roundings draw from
+    default_rng(seed) itself, with no derived stream label, as the benchmark
+    has always drawn its baseline, so solver_cut keeps its values.
     """
-    if method == "random":
-        rng = np.random.default_rng(derive_seed(seed, "random-cuts"))
-
-        def sampler(b):
-            return _random_labels(rng, b, graph.n)
-
-        return trajectory_from_sampler(graph, sampler, total_samples, "random", seed, graph_id)
-
-    if method == "gw":
-        if solution is None:
-            scfg = SolverConfig(tol=config.sdp_tol, max_iter=config.sdp_max_iter,
-                                seed=derive_seed(seed, "sdp"))
-            solution = solve_gw_sdp(graph, config.rank, scfg)
-        circuit = GwCircuit(graph, solution, derive_seed(seed, "gw-devices"), config)
-        return trajectory_from_sampler(graph, circuit.sample_cuts, total_samples,
-                                       "gw", seed, graph_id)
-
     if method == "trevisan":
         t0 = time.perf_counter()
         circuit = TrevisanCircuit(graph, seed, config)
@@ -315,4 +309,16 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
 
         return checkpoint_trajectory(best_of, total_samples, "trevisan", seed, graph_id, t0)
 
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method in ("gw", "solver-rounding") and solution is None:
+        solution = solve_gw_sdp(graph, config.rank, config.solver_config(derive_seed(seed, "sdp")))
+    if method == "random":
+        rng = np.random.default_rng(derive_seed(seed, "random-cuts"))
+        sampler = partial(_random_labels, rng, n=graph.n)
+    elif method == "gw":
+        sampler = GwCircuit(graph, solution, derive_seed(seed, "gw-devices"), config).sample_cuts
+    else:
+        sampler = partial(reference_hyperplane_rounds, solution.vectors,
+                          rng=np.random.default_rng(seed))
+    return trajectory_from_sampler(graph, sampler, total_samples, method, seed, graph_id)
