@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import CircuitConfig, run_trajectory
+from .devices import _whole
 from .graphs import generate_erdos_renyi, load_graph
 from .oracles import ENUM_LIMIT, brute_force_maxcut
 from .sdp import solve_gw_sdp
@@ -76,13 +77,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {BENCH_METHODS}")
             if m in self.methods[:k]:
                 raise ValueError(f"method {m!r} is listed twice; each method runs once per graph")
-        if self.samples < 1:
+        # sizes that are not integers would fail every job, or the process pool
+        if _whole(self.samples, "samples") < 1:
             raise ValueError("samples must be positive")
-        if self.er_graphs_per_cell < 0:
+        if _whole(self.er_graphs_per_cell, "er_graphs_per_cell") < 0:
             raise ValueError("er_graphs_per_cell must be >= 0")
-        if self.jobs < 1:
+        if _whole(self.jobs, "jobs") < 1:
             raise ValueError("jobs must be >= 1")
-        if any(n < 1 for n in self.er_n):
+        if any(_whole(n, "er_n item") < 1 for n in self.er_n):
             raise ValueError(f"er_n must hold positive vertex counts, not {min(self.er_n)}")
         for p in self.er_p:
             if not 0.0 <= p <= 1.0:

@@ -142,6 +142,25 @@ def test_diverging_method_keeps_other_methods_rows():
                          for m in ("lif-gw", "solver-rounding", "random")}
 
 
+def test_failed_baseline_fails_the_whole_job(monkeypatch):
+    # every row's solver_cut comes from the baseline, so without it no method reports
+    import neurocut.bench as bench
+
+    run = bench.run_trajectory
+
+    def baseline_fails(method, *args, **kwargs):
+        if method == "solver-rounding":
+            raise ValueError("rounding broke")
+        return run(method, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_trajectory", baseline_fails)
+    res = run_experiment(tiny_config(er_graphs_per_cell=1, methods=BENCH_METHODS))
+    gid = "er-n10-p0.5-0"
+    assert res.rows == []
+    assert res.failures == [(gid, "rounding broke")]
+    assert res.metadata[f"failure.{gid}"] == "rounding broke"
+
+
 def test_negative_solver_cap_fails_each_job(tmp_path):
     # rejected when the config is built, so no job starts with it
     with pytest.raises(ValueError, match="sdp_max_iter = -1 must be >= 0"):
@@ -162,6 +181,20 @@ def test_validate_rejects_bad_config():
     with pytest.raises(ValueError):
         ExperimentConfig(er_n=(13,), er_p=(0.5,)).validate()  # off-grid without flag
     ExperimentConfig(er_n=(13,), er_p=(0.5,), custom_grid=True).validate()
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    (dict(er_n=(12.5,)), "er_n item = 12.5 must be an integer"),
+    (dict(er_n=(20, "50")), "er_n item = '50' must be an integer"),
+    (dict(samples=8.0), "samples = 8.0 must be an integer"),
+    (dict(er_graphs_per_cell=1.0), "er_graphs_per_cell = 1.0 must be an integer"),
+    (dict(jobs=1.5), "jobs = 1.5 must be an integer"),
+    (dict(jobs=2.0), "jobs = 2.0 must be an integer"),
+], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs"])
+def test_validate_rejects_non_integer_sizes(overrides, problem):
+    # caught before any job runs: each job failed on it, or the process pool raised TypeError
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        tiny_config(**overrides).validate()
 
 
 @pytest.mark.parametrize("overrides, gid", [

@@ -20,6 +20,7 @@ from neurocut import (
     cut_value,
     cut_values,
     generate_erdos_renyi,
+    reference_hyperplane_rounds,
     run_trajectory,
     solve_gw_sdp,
     spectral_cut,
@@ -368,7 +369,7 @@ def test_checkpoint_schedule_takes_integer_budgets(value):
     assert checkpoint_schedule(np.int64(3)) == [1, 2]
 
 
-@pytest.mark.parametrize("method", ["random", "gw", "trevisan"])
+@pytest.mark.parametrize("method", ["random", "gw", "trevisan", "solver-rounding"])
 @pytest.mark.parametrize("value", [16.0, 2.5, 2.0, "3", None])
 def test_run_trajectory_takes_integer_budgets(c4, method, value):
     with pytest.raises(ValueError, match="total_samples = .* must be an integer"):
@@ -448,6 +449,39 @@ def test_run_trajectory_gw_accepts_presolved(c4):
     assert a.checkpoints == b.checkpoints
 
 
+def _best_roundings(g, vectors, total, seed):
+    """(checkpoint, best cut) pairs of direct roundings drawn from default_rng(seed),
+    in at most _BATCH rows per draw, as the checkpoint schedule asks for them."""
+    rng = np.random.default_rng(seed)
+    best, done, want = -1, 0, []
+    for cp in checkpoint_schedule(total):
+        while done < cp:
+            b = min(_BATCH, cp - done)
+            best = max(best, int(cut_values(g, reference_hyperplane_rounds(vectors, b, rng)).max()))
+            done += b
+        want.append((cp, best))
+    return want
+
+
+def test_run_trajectory_solver_rounding_is_the_best_direct_rounding():
+    g = generate_erdos_renyi(20, 0.5, 4)
+    sol = solve_gw_sdp(g, config=SolverConfig(seed=1))
+    traj = run_trajectory("solver-rounding", g, 2 ** 14, seed=8, solution=sol)
+    assert traj.method == "solver-rounding" and traj.seed == 8
+    assert traj.checkpoints == _best_roundings(g, sol.vectors, 2 ** 14, seed=8)
+
+
+def test_run_trajectory_solver_rounding_solves_like_gw():
+    # without a solution, the relaxation starts from derive_seed(seed, "sdp"), as for gw
+    g = generate_erdos_renyi(30, 0.3, 6)
+    cfg = CircuitConfig(rank=3, sdp_tol=1e-5)
+    sol = solve_gw_sdp(g, 3, SolverConfig(tol=1e-5, seed=derive_seed(8, "sdp")))
+    traj = run_trajectory("solver-rounding", g, 2 ** 10, seed=8, config=cfg)
+    assert traj.checkpoints == _best_roundings(g, sol.vectors, 2 ** 10, seed=8)
+    other = solve_gw_sdp(g, 3, SolverConfig(tol=1e-5, seed=derive_seed(9, "sdp")))
+    assert traj.checkpoints != _best_roundings(g, other.vectors, 2 ** 10, seed=8)
+
+
 def test_run_trajectory_trevisan_reads_at_checkpoints(c4):
     traj = run_trajectory("trevisan", c4, 2 ** 12, seed=11)
     assert [s for s, _ in traj.checkpoints] == [2 ** k for k in range(13)]
@@ -461,7 +495,7 @@ def test_run_trajectory_unknown_method(k3):
         run_trajectory("annealing", k3, 4, seed=0)
 
 
-@pytest.mark.parametrize("method", ["random", "gw", "trevisan"])
+@pytest.mark.parametrize("method", ["random", "gw", "trevisan", "solver-rounding"])
 def test_run_trajectory_bit_deterministic(method, petersen):
     a = run_trajectory(method, petersen, 128, seed=77)
     b = run_trajectory(method, petersen, 128, seed=77)

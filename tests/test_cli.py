@@ -140,6 +140,17 @@ def test_run_gw_reaches_optimum(c4_file, capsys):
     assert out.splitlines()[-1] == "64 4"
 
 
+def test_run_solver_rounding(c4_file, capsys):
+    argv = ["run", c4_file, "--method", "solver-rounding", "--samples", "64", "--seed", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# method=solver-rounding seed=1 samples=64"
+    assert [ln.split()[0] for ln in lines[1:]] == [str(2 ** k) for k in range(7)]
+    assert lines[-1] == "64 4"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_run_writes_out_file(k3_file, tmp_path):
     out = tmp_path / "traj.txt"
     assert main(["run", k3_file, "--method", "random", "--samples", "8",
