@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuits import CircuitConfig, run_trajectory
 from .devices import _whole
-from .graphs import generate_erdos_renyi, load_graph
+from .graphs import _check_probability, generate_erdos_renyi, load_graph
 from .oracles import ENUM_LIMIT, brute_force_maxcut
 from .sdp import solve_gw_sdp
 from .seeding import RNG_ALGORITHM, derive_seed
@@ -70,6 +70,9 @@ class ExperimentConfig:
         return replace(cfg, **overrides)
 
     def validate(self) -> None:
+        for name in ("er_n", "er_p", "graph_files", "methods"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
         if not self.methods:
             raise ValueError("methods must not be empty")
         for k, m in enumerate(self.methods):
@@ -84,11 +87,11 @@ class ExperimentConfig:
             raise ValueError("er_graphs_per_cell must be >= 0")
         if _whole(self.jobs, "jobs") < 1:
             raise ValueError("jobs must be >= 1")
+        _whole(self.base_seed, "base_seed")
         if any(_whole(n, "er_n item") < 1 for n in self.er_n):
             raise ValueError(f"er_n must hold positive vertex counts, not {min(self.er_n)}")
         for p in self.er_p:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"edge probability {p} outside [0, 1]")
+            _check_probability(p)
         if not self.custom_grid:
             bad_n = [n for n in self.er_n if n not in _KNOWN_N]
             bad_p = [p for p in self.er_p if p not in _KNOWN_P]
@@ -160,8 +163,7 @@ def _job_list(cfg: ExperimentConfig) -> list:
 
 def _materialize(cfg: ExperimentConfig, source) -> tuple:
     """Returns (graph, p) where p is the ER density or None for files."""
-    kind = source[0]
-    if kind == "er":
+    if source[0] == "er":
         _, n, p, k = source
         g = generate_erdos_renyi(n, p, derive_seed(cfg.base_seed, "er", n, p, k))
         return g, p

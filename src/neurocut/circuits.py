@@ -290,7 +290,7 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     checkpoint, tracking the best read so far. 'gw' and 'solver-rounding'
     solve the relaxation first, from derive_seed(seed, "sdp"), if no solution
     is supplied; the other methods ignore it. All randomness derives from
-    seed, so repeated calls agree bit for bit.
+    seed, an integer (2.5 raises ValueError), so repeated calls agree bit for bit.
 
     Random labels are the top bits of the bytes of whole 32-bit generator
     words (_random_labels): the bits that rng.integers(0, 2, dtype=np.int8)
@@ -299,6 +299,7 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     default_rng(seed) itself, with no derived stream label, as the benchmark
     has always drawn its baseline, so solver_cut keeps its values.
     """
+    seed = _whole(seed, "seed")
     if method == "trevisan":
         t0 = time.perf_counter()
         circuit = TrevisanCircuit(graph, seed, config)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from . import __version__
 from .bench import parse_config_file, run_experiment, summarize
 from .circuits import METHODS, CircuitConfig, run_trajectory
-from .graphs import generate_erdos_renyi, load_graph, save_graph
+from .graphs import cut_value, generate_erdos_renyi, load_graph, save_graph
 from .oracles import brute_force_maxcut, spectral_cut
 from .plasticity import NumericalDivergenceError
 from .sdp import SolverConfig, format_solution, solve_gw_sdp
@@ -154,8 +154,6 @@ def cmd_exact(args) -> int:
 def cmd_spectral(args) -> int:
     g = _load(args)
     result = spectral_cut(g)
-    from .graphs import cut_value
-
     sys.stdout.write(f"cut {cut_value(g, result.labels)}\n"
                      f"{_labels_line(result.labels)}\n"
                      f"degenerate {int(result.degenerate)}\n")

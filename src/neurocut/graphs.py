@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -12,8 +13,7 @@ from .devices import _whole
 _SLICE = 256
 # Vertices per row block of the upper-triangle walk in _score_rows.
 _BLOCK = 128
-# float32 holds every integer of magnitude up to 2^24 exactly; graphs with
-# 2m below it score in float32 (see cut_values), larger ones in float64.
+# float32 holds every integer of magnitude up to 2^24 exactly (see cut_values).
 _FLOAT32_EXACT = 1 << 24
 
 
@@ -61,8 +61,6 @@ class Graph:
             keep = np.ones(len(lo), dtype=bool)
             keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
             pairs = np.column_stack([lo[keep], hi[keep]])
-        else:
-            pairs = pairs.reshape(0, 2)
         pairs.setflags(write=False)
         self.n = n
         self.edges = pairs
@@ -83,13 +81,14 @@ class Graph:
     def _scoring_adjacency(self) -> np.ndarray:
         """U, the strict upper triangle of the adjacency, that _score_rows multiplies by.
 
-        It is float32 while 2m < 2^24 and float64 past that, built on first
-        use, cached on the graph and read-only; every block product of the
-        scorer is a view of it, so no block is copied.
+        float32, built on first use, cached on the graph and read-only; every
+        block product of the scorer is a view of it. A graph past the exact
+        range of cut_values raises ValueError before U is allocated.
         """
         if self._upper is None:
-            dtype = np.float32 if 2 * self.m < _FLOAT32_EXACT else np.float64
-            self._upper = self._dense(dtype, symmetric=False)
+            if min(self.m, _BLOCK * (self.n - 1)) >= _FLOAT32_EXACT:
+                raise ValueError(f"graph with n = {self.n}, m = {self.m} is too large to score exactly")
+            self._upper = self._dense(np.float32, symmetric=False)
         return self._upper
 
     def _dense(self, dtype, symmetric: bool = True) -> np.ndarray:
@@ -105,8 +104,7 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        counts = np.bincount(self.edges.ravel(), minlength=self.n) if self.m else np.zeros(self.n, dtype=np.int64)
-        return counts.astype(np.int64)
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -135,13 +133,13 @@ def cut_values(g: Graph, labels) -> np.ndarray:
     the strict upper triangle of the adjacency, so each row scores as
     (m - h) / 2 with h = x^T U x. h is summed over row blocks of U, about
     half the multiply-adds of a product with all of A (see _score_rows).
-    Every partial sum of h is an integer: inside a block product its
-    magnitude is at most the largest degree, and in the row sums and the
-    sum across blocks at most m. float32 holds every integer up to 2^24, so
-    while 2m < 2^24 the products run in float32 and are exact in any
-    summation order (a threaded or blocked GEMM included); larger graphs
-    fall back to float64. h is taken to int64 before the division, so the
-    scores are exact. Any entry other than +1 or -1 raises ValueError.
+    Inside one row block every partial sum is an integer of magnitude at
+    most the block's upper-edge count, so at most min(m, _BLOCK (n - 1)).
+    While that is below 2^24, float32 block products are exact in any
+    summation order (a threaded or blocked GEMM included), and the block sums
+    add in int64, so the scores are exact. Past it (m >= 2^24 and n > 2^24 /
+    _BLOCK, where U alone would take over 64 GB) scoring raises ValueError,
+    as does any entry other than +1 or -1.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -171,12 +169,9 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
         if g.m:
-            x = rows.astype(u.dtype)
-            # the first block starts h, so a graph of one block adds no work
-            h = _block_sum(x, u, 0)
-            for lo in range(_BLOCK, g.n, _BLOCK):
-                h += _block_sum(x, u, lo)
-            out[start:start + len(rows)] = (g.m - h.astype(np.int64)) // 2
+            x = rows.astype(np.float32)
+            h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
+            out[start:start + len(rows)] = (g.m - h) // 2
     return out
 
 
@@ -190,12 +185,17 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 vertex pairs is an edge with probability p."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
+    _check_probability(p)
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
     return Graph(n, np.column_stack([iu[mask], iv[mask]]))
+
+
+def _check_probability(p) -> None:
+    """ValueError unless p is a real number in [0, 1]; True, "0.5" and nan are not."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p!r} must be a real number in [0, 1]")
 
 
 def trevisan_matrix(g: Graph) -> np.ndarray:
@@ -204,9 +204,7 @@ def trevisan_matrix(g: Graph) -> np.ndarray:
     Rows and columns of degree-0 vertices carry only the identity part.
     """
     deg = g.degrees.astype(float)
-    isolated = deg == 0
-    inv_sqrt = np.zeros(g.n)
-    inv_sqrt[~isolated] = 1.0 / np.sqrt(deg[~isolated])
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(g.n), where=deg > 0)
     mat = g.adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
     mat += np.eye(g.n)
     return mat
@@ -326,11 +324,8 @@ def _parse_matrix_market(lines) -> Graph:
         u, v, is_edge = _split_entry(stripped, lineno)
         if not (1 <= u <= rows and 1 <= v <= rows):
             raise ParseError(f"entry ({u}, {v}) outside 1..{rows}", lineno)
-        if not is_edge:
-            continue
-        if u == v:
-            continue
-        edges.append((u - 1, v - 1))
+        if is_edge and u != v:
+            edges.append((u - 1, v - 1))
     if entries != nnz:
         raise ParseError(f"size line declares {nnz} entries, found {entries}", size_line)
     return Graph(rows, edges)

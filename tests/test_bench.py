@@ -197,6 +197,30 @@ def test_validate_rejects_non_integer_sizes(overrides, problem):
         tiny_config(**overrides).validate()
 
 
+@pytest.mark.parametrize("base_seed", [2.7, "7"])
+def test_validate_rejects_non_integer_base_seed(base_seed):
+    # 2.7 ran as base seed 2, "7" as 7
+    with pytest.raises(ValueError, match="base_seed = .* must be an integer"):
+        tiny_config(base_seed=base_seed).validate()
+
+
+@pytest.mark.parametrize("er_p", [("0.5",), (True,), (0.5, None)], ids=["text", "bool", "none"])
+def test_validate_rejects_probabilities_that_are_not_real_numbers(er_p):
+    # "0.5" raised TypeError from validate; (True,) ran as p = 1 under graph id er-n10-pTrue-0
+    with pytest.raises(ValueError, match="must be a real number in"):
+        tiny_config(er_p=er_p).validate()
+
+
+@pytest.mark.parametrize("overrides", [dict(er_n="20"), dict(er_p="0.5"),
+                                       dict(graph_files="g.mtx"), dict(methods="random")],
+                         ids=["er_n", "er_p", "graph_files", "methods"])
+def test_validate_rejects_a_bare_string_for_a_sequence(overrides):
+    # graph_files="g.mtx" became five file jobs g, "", m, t and x; methods="random" read as "r"
+    (name, value), = overrides.items()
+    with pytest.raises(ValueError, match=f"{name} must be a sequence, not the string '{value}'"):
+        tiny_config(**overrides).validate()
+
+
 @pytest.mark.parametrize("overrides, gid", [
     (dict(er_n=(20, 20), er_p=(0.5,), er_graphs_per_cell=1), "er-n20-p0.5-0"),
     (dict(er_n=(20,), er_p=(0.1, 0.1), er_graphs_per_cell=2), "er-n20-p0.1-0"),

@@ -490,6 +490,18 @@ def test_run_trajectory_trevisan_reads_at_checkpoints(c4):
     assert bests == sorted(bests)
 
 
+@pytest.mark.parametrize("method", ["random", "gw", "trevisan", "solver-rounding"])
+@pytest.mark.parametrize("seed", [2.7, 2.5, "7"])
+def test_run_trajectory_takes_integer_seeds(c4, method, seed):
+    # 2.5 ran as seed 2, and solver-rounding with a solution raised numpy's TypeError
+    sol = solve_gw_sdp(c4, 3, SolverConfig(tol=1e-6, seed=0))
+    with pytest.raises(ValueError, match="seed = .* must be an integer"):
+        run_trajectory(method, c4, 16, seed=seed, solution=sol)
+    traj = run_trajectory(method, c4, 16, seed=np.int64(3), solution=sol)
+    assert traj.seed == 3 and type(traj.seed) is int
+    assert traj.checkpoints == run_trajectory(method, c4, 16, seed=3, solution=sol).checkpoints
+
+
 def test_run_trajectory_unknown_method(k3):
     with pytest.raises(ValueError):
         run_trajectory("annealing", k3, 4, seed=0)

@@ -186,25 +186,24 @@ def test_cut_values_matches_gather_reference(n, p, batch, dtype, gseed, cseed):
     assert cut_value(g, labels[0]) == got[0]
 
 
-@given(st.integers(1, 40), st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 2 * _SLICE),
-       st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
-@settings(max_examples=40, deadline=None)
-def test_float64_fallback_past_the_float32_limit_scores_the_same(n, p, batch, gseed, cseed):
-    # Moving the limit onto 2m pins the switch without a graph of 2^23 edges:
-    # 2m one below the limit scores in float32, 2m at the limit in float64.
-    # The scoring matrix is cached on first use, so each side gets a fresh graph.
-    g = generate_erdos_renyi(n, p, gseed)
-    labels = np.random.default_rng(cseed).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
-    scores = {}
-    for limit, dtype in ((2 * g.m + 1, np.float32), (2 * g.m, np.float64)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_FLOAT32_EXACT", limit)
-            fresh = Graph(g.n, g.edges)
-            u = fresh._scoring_adjacency()
-            assert u.dtype == dtype and not u.flags.writeable
-            assert np.array_equal(u, np.triu(g.adjacency, 1))
-            scores[dtype] = cut_values(fresh, labels).tolist()
-    assert scores[np.float32] == scores[np.float64] == gather_cut_values(g, labels).tolist()
+@pytest.mark.parametrize("block", [_BLOCK, 2], ids=["bound-m", "bound-block-rows"])
+def test_graphs_past_the_exact_bound_are_rejected_before_scoring(block, monkeypatch):
+    # Moving the 2^24 limit onto the bound min(m, _BLOCK (n - 1)) pins the
+    # rejection without a graph of 2^24 edges. K_30 has m = 435: with
+    # 128-vertex blocks the bound is m, with 2-vertex blocks it is 2 * 29 = 58.
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    g = generate_erdos_renyi(30, 1.0, 0)
+    bound = min(g.m, block * (g.n - 1))
+    assert bound == (435 if block == _BLOCK else 58)
+    labels = np.random.default_rng(1).integers(0, 2, size=(9, 30), dtype=np.int8) * 2 - 1
+    monkeypatch.setattr(graphs, "_FLOAT32_EXACT", bound)
+    fresh = Graph(g.n, g.edges)
+    with pytest.raises(ValueError, match="too large to score exactly"):
+        cut_values(fresh, labels)
+    assert fresh._upper is None
+    monkeypatch.setattr(graphs, "_FLOAT32_EXACT", bound + 1)
+    assert cut_values(fresh, labels).tolist() == gather_cut_values(g, labels).tolist()
+    assert fresh._scoring_adjacency().dtype == np.float32
 
 
 def test_float32_adjacency_is_built_once_and_read_only(c4):
@@ -223,15 +222,9 @@ def test_block_walk_matches_gather_across_many_blocks(n, p, block, batch, gseed,
     # with a partial last block whenever block does not divide n
     g = generate_erdos_renyi(n, p, gseed)
     labels = np.random.default_rng(cseed).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
-    want = gather_cut_values(g, labels).tolist()
-    for limit, dtype in ((2 * g.m + 1, np.float32), (2 * g.m, np.float64)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_BLOCK", block)
-            mp.setattr(graphs, "_FLOAT32_EXACT", limit)
-            fresh = Graph(g.n, g.edges)
-            assert cut_values(fresh, labels).tolist() == want
-            if g.m:
-                assert fresh._scoring_adjacency().dtype == dtype
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_BLOCK", block)
+        assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
 
 
 @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1])
@@ -310,6 +303,13 @@ def test_er_determinism_and_extremes():
     assert generate_erdos_renyi(10, 1.0, 1).m == 45
     with pytest.raises(ValueError):
         generate_erdos_renyi(10, 1.5, 1)
+
+
+@pytest.mark.parametrize("p", ["0.5", True, None, np.nan], ids=["text", "bool", "none", "nan"])
+def test_er_rejects_a_probability_that_is_not_a_real_number(p):
+    # "0.5" and None raised TypeError from the comparison; True ran as p = 1
+    with pytest.raises(ValueError, match="must be a real number in"):
+        generate_erdos_renyi(10, p, 1)
 
 
 def test_er_density_sane():

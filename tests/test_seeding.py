@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from neurocut import RNG_ALGORITHM, derive_seed
 
 
@@ -23,3 +26,15 @@ def test_stable_values():
 
 def test_tag_order_matters():
     assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
+
+
+def test_integer_bases_hash_as_their_value():
+    assert derive_seed(np.int64(5), "x") == derive_seed(5, "x")
+    assert derive_seed(True, "x") == derive_seed(1, "x")
+
+
+@pytest.mark.parametrize("base", [2.7, 2.0, "7", None])
+def test_non_integer_base_is_rejected(base):
+    # 2.7 used to hash as base 2, and "7" as base 7
+    with pytest.raises(ValueError, match="base seed = .* must be an integer"):
+        derive_seed(base, "x")
