@@ -195,9 +195,11 @@ class TrevisanCircuit:
 class CutTrajectory:
     """Best-so-far cut sizes recorded at power-of-two sample counts.
 
-    checkpoints holds (samples, best_cut) pairs; wall_times holds cumulative
-    seconds at each checkpoint and is diagnostic only (everything else is
-    bit-reproducible for a fixed graph, method, seed and config).
+    checkpoints holds (samples, best_cut) pairs; wall_times holds, at each
+    checkpoint, the seconds since the checkpoint loop began, so building the
+    circuit or sampler (and solving the relaxation) is excluded. They are
+    diagnostic only (everything else is bit-reproducible for a fixed graph,
+    method, seed and config).
     """
 
     graph_id: str
@@ -219,15 +221,16 @@ def checkpoint_schedule(total_samples: int) -> list:
 
 
 def checkpoint_trajectory(best_of, total_samples: int, method: str, seed: int,
-                          graph_id: str = "", t0: float | None = None) -> CutTrajectory:
+                          graph_id: str = "") -> CutTrajectory:
     """Record the best cut so far at each checkpoint of the sample budget.
 
     best_of(count) returns the best cut over the next count samples. Wall
-    times count from t0, or from this call when t0 is None.
+    times are seconds since the checkpoint loop began: whatever the caller
+    built before this call is not on the clock. A seed that is not an
+    integer (2.5, "3") raises ValueError.
     """
-    if t0 is None:
-        t0 = time.perf_counter()
-    traj = CutTrajectory(graph_id, method, int(seed))
+    t0 = time.perf_counter()
+    traj = CutTrajectory(graph_id, method, _whole(seed, "seed"))
     best = -1
     done = 0
     for cp in checkpoint_schedule(total_samples):
@@ -301,14 +304,13 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     """
     seed = _whole(seed, "seed")
     if method == "trevisan":
-        t0 = time.perf_counter()
         circuit = TrevisanCircuit(graph, seed, config)
 
         def best_of(count):
             circuit.run_steps(count)
             return cut_value(graph, circuit.read_cut())
 
-        return checkpoint_trajectory(best_of, total_samples, "trevisan", seed, graph_id, t0)
+        return checkpoint_trajectory(best_of, total_samples, "trevisan", seed, graph_id)
 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

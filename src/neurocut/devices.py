@@ -31,7 +31,7 @@ class DevicePool:
         if count < 1:
             raise ValueError("a pool needs at least one device")
         self.count = count
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(_whole(seed, "seed"))
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """(steps, count) float array of ±1; row k equals the k-th sequential draw.

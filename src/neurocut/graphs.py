@@ -94,11 +94,10 @@ class Graph:
     def _dense(self, dtype, symmetric: bool = True) -> np.ndarray:
         # edges are stored with i < j, so (i, j) alone fills the strict upper triangle
         a = np.zeros((self.n, self.n), dtype=dtype)
-        if self.m:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            a[u, v] = 1
-            if symmetric:
-                a[v, u] = 1
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        a[u, v] = 1
+        if symmetric:
+            a[v, u] = 1
         a.setflags(write=False)
         return a
 
@@ -163,15 +162,14 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     a score.
     """
     out = np.zeros(v.shape[0], dtype=np.int64)
-    u = g._scoring_adjacency() if g.m else None
+    u = g._scoring_adjacency()
     for start in range(0, len(v), _SLICE):
         rows = v[start:start + _SLICE]
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
-        if g.m:
-            x = rows.astype(np.float32)
-            h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
-            out[start:start + len(rows)] = (g.m - h) // 2
+        x = rows.astype(np.float32)
+        h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
+        out[start:start + len(rows)] = (g.m - h) // 2
     return out
 
 

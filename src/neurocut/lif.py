@@ -69,17 +69,6 @@ class LifPopulation:
             self.V[:] = out[-1]
         return out
 
-    def simulate(self, states) -> np.ndarray:
-        """Membrane trajectory for a (T, r) state sequence starting from V = 0.
-
-        The same block kernel as step() from a zero membrane, equivalent to T
-        single steps of a fresh population; does not touch the live membrane.
-        """
-        s = np.asarray(states, dtype=float)
-        if s.ndim != 2 or s.shape[1] != self.r:
-            raise ValueError(f"state sequence has shape {s.shape}, expected (T, {self.r})")
-        return self._integrate(s, np.zeros(self.n))
-
     def _integrate(self, states, v0, out=None) -> np.ndarray:
         """(T, n) membranes of V_t = q V_{t-1} + W s_t from V_{-1} = v0.
 

@@ -66,7 +66,7 @@ def test_criterion_1_covariance_fidelity(capsys):
             pop = LifPopulation(weights)
             pool = DevicePool(4, seed=4000 + k)
             states = pool.sample_steps(400 + 200_000)
-            trace = pop.simulate(states)[400:]
+            trace = pop.step(states)[400:]
             empirical = np.corrcoef(trace.T)
             cov = pop.stationary_covariance(pool.covariance())
             scale = np.sqrt(np.diag(cov))

@@ -61,12 +61,6 @@ def test_methods_see_distinct_seeds():
     assert seeds[("er-n10-p0.5-0", "lif-gw")] != seeds[("er-n10-p0.5-1", "lif-gw")]
 
 
-def test_self_test_mode_checks_exact_optimum():
-    res = run_experiment(tiny_config(self_test=True))
-    assert not res.failures
-    assert "job.er-n10-p0.5-0.exact_opt" in res.metadata
-
-
 def test_determinism_across_runs_and_workers():
     a = run_experiment(tiny_config())
     b = run_experiment(tiny_config())
@@ -319,8 +313,7 @@ def test_parse_config_file_full(tmp_path):
         "eta0 = 0.004\n"
         "rank = 6\n"
         "sdp_max_iter = none\n"
-        "out_dir = results\n"
-        "self_test = true\n",
+        "out_dir = results\n",
         encoding="utf-8")
     cfg = parse_config_file(p)
     assert cfg.er_n == (20, 50)
@@ -334,7 +327,6 @@ def test_parse_config_file_full(tmp_path):
     assert cfg.circuit.sdp_max_iter is None
     assert cfg.circuit.tau == 4000.0  # desk preset schedule survives overrides
     assert cfg.out_dir == "results"
-    assert cfg.self_test is True
 
 
 def test_parse_config_scale_presets(tmp_path):
@@ -362,7 +354,7 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     p.write_text("samples = many\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
-    p.write_text("self_test = maybe\n", encoding="utf-8")
+    p.write_text("custom_grid = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
     # 'none' is only a value of optional fields such as sdp_max_iter
@@ -379,17 +371,18 @@ _EVERY_KEY = {
     "er_n": (20, 350), "er_p": (0.25, 0.75), "er_graphs_per_cell": 3,
     "graph_files": ("a.mtx", "b.txt"), "methods": ("random", "solver-rounding"),
     "samples": 4096, "base_seed": 99, "out_dir": "results", "jobs": 2,
-    "custom_grid": True, "self_test": True,
+    "custom_grid": True,
     "alpha": 0.08, "epoch_steps": 60, "eta0": 0.004, "tau": 3000.0,
     "rank": 3, "sdp_tol": 1e-05, "sdp_max_iter": 1500,
 }
 
 
 @pytest.mark.parametrize("key", ["dt", "capacitance", "threshold",
-                                 "gw_weight_scale", "trevisan_weight_scale"])
+                                 "gw_weight_scale", "trevisan_weight_scale", "self_test"])
 def test_removed_circuit_keys_are_unknown(tmp_path, key):
     # positive drive scales and a zero threshold cannot move a sign read,
-    # so these are no longer settable
+    # so the circuit keys are no longer settable; exact optima come from
+    # `neurocut exact`, not from a self_test key
     p = tmp_path / "old.cfg"
     p.write_text(f"samples = 64\n{key} = 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -500,6 +501,34 @@ def test_run_trajectory_takes_integer_seeds(c4, method, seed):
     traj = run_trajectory(method, c4, 16, seed=np.int64(3), solution=sol)
     assert traj.seed == 3 and type(traj.seed) is int
     assert traj.checkpoints == run_trajectory(method, c4, 16, seed=3, solution=sol).checkpoints
+
+
+@pytest.mark.parametrize("seed", [2.5, "3"])
+def test_trajectory_entry_points_reject_non_integer_seeds(c4, seed):
+    def sampler(b):
+        return np.ones((b, 4), dtype=np.int8)
+
+    sol = solve_gw_sdp(c4, 3, SolverConfig(tol=1e-6, seed=0))
+    with pytest.raises(ValueError, match="seed = .* must be an integer"):
+        trajectory_from_sampler(c4, sampler, 4, "x", seed)
+    with pytest.raises(ValueError, match="seed = .* must be an integer"):
+        GwCircuit(c4, sol, seed)
+    traj = trajectory_from_sampler(c4, sampler, 4, "x", np.int64(3))
+    assert traj.seed == 3 and type(traj.seed) is int
+
+
+@pytest.mark.parametrize("method, cls", [("trevisan", TrevisanCircuit), ("gw", GwCircuit)])
+def test_trajectory_clock_starts_after_the_circuit_is_built(c4, monkeypatch, method, cls):
+    built = cls.__init__
+
+    def slow_init(self, *args, **kwargs):
+        built(self, *args, **kwargs)
+        time.sleep(0.2)
+
+    monkeypatch.setattr(cls, "__init__", slow_init)
+    sol = solve_gw_sdp(c4, 3, SolverConfig(tol=1e-6, seed=0))
+    traj = run_trajectory(method, c4, 16, seed=1, solution=sol)
+    assert traj.wall_times[0] < 0.1
 
 
 def test_run_trajectory_unknown_method(k3):

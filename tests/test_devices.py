@@ -123,12 +123,20 @@ def test_epoch_bits_are_fair_at_every_position():
 def test_non_integer_sizes_are_rejected(value):
     with pytest.raises(ValueError, match="must be an integer"):
         DevicePool(value)
+    with pytest.raises(ValueError, match="seed = .* must be an integer"):
+        DevicePool(2, seed=value)
     with pytest.raises(ValueError, match="must be an integer"):
         DevicePool(2).sample_epochs(value, 8)
     with pytest.raises(ValueError, match="must be an integer"):
         DevicePool(2).sample_epochs(4, value)
     with pytest.raises(ValueError, match="must be an integer"):
         DevicePool(2).sample_steps(value)
+
+
+def test_numpy_integer_seed_draws_as_the_int():
+    pool, ref = DevicePool(3, seed=np.int64(7)), DevicePool(3, seed=7)
+    assert np.array_equal(pool.sample_steps(5), ref.sample_steps(5))
+    assert np.array_equal(pool.sample_epochs(2, 9), ref.sample_epochs(2, 9))
 
 
 def test_epoch_validation():

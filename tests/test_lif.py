@@ -50,11 +50,11 @@ def assert_rel_close(got, want, rel=1e-12):
 
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 200), st.integers(0, 2 ** 31))
 @settings(max_examples=40, deadline=None)
-def test_simulate_equals_step_loop(n, r, steps, seed):
+def test_fresh_block_equals_step_loop(n, r, steps, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, r))
     states = DevicePool(r, seed=seed).sample_steps(steps)
-    traj = LifPopulation(w).simulate(states)
+    traj = LifPopulation(w).step(states)
     pop = LifPopulation(w)
     stepped = np.array([pop.step(s).copy() for s in states])
     assert_rel_close(traj, stepped)
@@ -95,14 +95,6 @@ def test_step_block_into_a_buffer_equals_a_fresh_block():
         into.step(states[0], out=buf[:1])
 
 
-def test_simulate_does_not_touch_live_state():
-    pop = make_pop()
-    pop.step(np.ones(2))
-    before = pop.V.copy()
-    pop.simulate(np.ones((10, 2)))
-    assert np.array_equal(pop.V, before)
-
-
 def test_stationary_covariance_formula():
     pop = make_pop(4, 3, seed=2)
     cov = np.diag([4.0, 1.0, 0.25])
@@ -119,7 +111,7 @@ def test_empirical_variance_approaches_kappa():
     # single unit, single fair device, weight 1: Var(V) -> kappa * 4 * b(1-b) = kappa
     pop = LifPopulation(np.array([[1.0]]))
     states = DevicePool(1, seed=3).sample_steps(120000)
-    v = pop.simulate(states)[200:, 0]
+    v = pop.step(states)[200:, 0]
     assert np.var(v) == pytest.approx(pop.kappa, rel=0.05)
 
 
@@ -128,7 +120,7 @@ def test_membrane_scale_invariance_of_signs():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((5, 3))
     states = DevicePool(3, seed=8).sample_steps(64)
-    a = LifPopulation(w).simulate(states)
-    b = LifPopulation(2.5 * w).simulate(states)
+    a = LifPopulation(w).step(states)
+    b = LifPopulation(2.5 * w).step(states)
     assert np.allclose(2.5 * a, b, atol=1e-9)
     assert np.array_equal(a[-1] > 0, b[-1] > 0)
