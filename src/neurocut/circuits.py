@@ -24,8 +24,12 @@ from .plasticity import OjaState
 from .sdp import SdpSolution, SolverConfig, solve_gw_sdp
 from .seeding import derive_seed
 
+# Rows per scoring batch of a trajectory.
 _BATCH = 4096
-# Epochs per sign read in GwCircuit.sample_cuts.
+# Rows per circuit buffer: epochs per sign read in GwCircuit.sample_cuts, and
+# steps per draw, integration and training block in TrevisanCircuit.run_steps.
+# A multiple of lif._CHUNK and plasticity._SUB, so a block split moves no leak
+# chunk or Gram sub-block.
 _SLICE = 256
 
 METHODS = ("gw", "trevisan", "solver-rounding", "random")
@@ -150,6 +154,9 @@ class TrevisanCircuit:
     membrane covariance is M^2 itself: the membranes reach the learner at
     unit scale, and M^2 shares the eigenvectors of M, in particular its
     minimum one. The cut is the sign pattern of the learned vector.
+
+    Its block buffers are two (_SLICE, n) arrays, where GwCircuit has one:
+    0.4 MB at n=100 and 2 MB at n=500, whatever the step count.
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
@@ -158,19 +165,25 @@ class TrevisanCircuit:
         self.pop = LifPopulation(trevisan_matrix(graph) * np.sqrt(1.0 - q * q), alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
-        # every run_steps block is drawn into _states and integrated into
-        # _membranes; np.empty maps them, and only the rows a block uses are touched
-        self._states = np.empty((_BATCH, graph.n))
-        self._membranes = np.empty((_BATCH, graph.n))
+        # every run_steps block is drawn into _states and integrated into _membranes
+        self._states = np.empty((_SLICE, graph.n))
+        self._membranes = np.empty((_SLICE, graph.n))
 
     def run_steps(self, count: int) -> None:
-        """Advance count steps, one device block of up to _BATCH draws at a time.
+        """Advance count steps, one device block of up to _SLICE draws at a time.
 
         Each block's membranes come from one LifPopulation.step call and its
         plasticity updates from one OjaState.update call, so the result agrees
         with single steps to rounding, and the same schedule of calls
         reproduces it bit for bit. The blocks are drawn and integrated in the
-        circuit's own two (_BATCH, n) buffers, so no block allocates its own.
+        circuit's own two (_SLICE, n) buffers, so no block allocates its own.
+
+        Larger blocks would give the same leak chunks, Gram sub-blocks and
+        draws, since _SLICE is a multiple of both chunk sizes and the device
+        stream is sequential. Only the drive GEMM's rows are split, and
+        whether that moves its last bits depends on the BLAS kernel: with
+        OpenBLAS 0.3.31 it moved none for n <= 192, and some for n = 255,
+        350 and 500.
         """
         count = _whole(count, "count")
         if count < 1:
@@ -181,7 +194,7 @@ class TrevisanCircuit:
         # warnings are dropped; the state is entered once per call, not per block.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < count:
-                b = min(_BATCH, count - done)
+                b = min(_SLICE, count - done)
                 states = self.pool.sample_steps(b, out=self._states[:b])
                 self.oja.update(self.pop.step(states, out=self._membranes[:b]))
                 done += b

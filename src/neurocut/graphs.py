@@ -180,11 +180,14 @@ def _block_sum(x: np.ndarray, u: np.ndarray, lo: int) -> np.ndarray:
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): each of the n(n-1)/2 vertex pairs is an edge with probability p."""
-    if n < 1:
+    """G(n, p): each of the n(n-1)/2 vertex pairs is an edge with probability p.
+
+    An n or seed that is not an integer (2.5, "3", None) raises ValueError.
+    """
+    if _whole(n, "n") < 1:
         raise ValueError("n must be positive")
     _check_probability(p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seed"))
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
     return Graph(n, np.column_stack([iu[mask], iv[mask]]))

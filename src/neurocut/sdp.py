@@ -22,6 +22,7 @@ Ozdaglar, Parrilo & Vanli 2018, block-coordinate Burer-Monteiro).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,26 @@ from .devices import _whole
 from .graphs import Graph
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule and start seed of solve_gw_sdp.
+
+    A tol that is negative, NaN or not a real number, a negative max_iter, or
+    a max_iter or seed that is not an integer (2.5, "3", None) raises
+    ValueError on construction; max_iter=None means 50 * n sweeps.
+    """
+
     tol: float = 1e-6
-    max_iter: int | None = None  # None -> 50 * n sweeps
+    max_iter: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        # comparisons written so that NaN fails them; NaN could never converge
+        if not (isinstance(self.tol, numbers.Real) and self.tol >= 0):
+            raise ValueError(f"tol = {self.tol!r} must be >= 0")
+        if self.max_iter is not None and _whole(self.max_iter, "max_iter") < 0:
+            raise ValueError(f"max_iter = {self.max_iter} must be >= 0")
+        _whole(self.seed, "seed")
 
 
 @dataclass
@@ -127,14 +143,10 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     cap first comes back flagged converged=False rather than raising, so
     callers can decide. iterations counts sweeps. An edgeless graph
     converges at once with f = 0. The vectors come back in vertex order.
-    A negative tol or max_iter, or a max_iter that is not an integer (2.5, 2.0,
-    "3"), is a ValueError; max_iter=0 returns the start.
+    SolverConfig checks its limits and seed when it is built; max_iter=0
+    returns the start.
     """
     cfg = config or SolverConfig()
-    if not cfg.tol >= 0:  # also NaN, which could never converge
-        raise ValueError(f"tol = {cfg.tol} must be >= 0")
-    if cfg.max_iter is not None and _whole(cfg.max_iter, "max_iter") < 0:
-        raise ValueError(f"max_iter = {cfg.max_iter} must be >= 0")
     r = effective_rank(rank, g.n)
     rng = np.random.default_rng(cfg.seed)
     order, bounds = _colour_classes(g.adjacency)

@@ -238,23 +238,56 @@ def test_trevisan_same_schedule_is_bit_identical(petersen):
     assert runs[0] == runs[1]
 
 
-def test_trevisan_run_steps_replays_its_block_calls_bit_for_bit():
-    # n=300 is above the size where a row split of the drive GEMM changes its
-    # last bits, so the buffers must carry each block as one GEMM
-    g = generate_erdos_renyi(300, 0.1, 5)
+def assert_replays_bit_for_bit(g, blocks):
+    """run_steps(sum(blocks)) equals pop.step/oja.update calls of those block sizes."""
     circ, replay = TrevisanCircuit(g, seed=3), TrevisanCircuit(g, seed=3)
-    circ.run_steps(2 * _BATCH + 77)
-    for b in (_BATCH, _BATCH, 77):
+    circ.run_steps(sum(blocks))
+    for b in blocks:
         replay.oja.update(replay.pop.step(replay.pool.sample_steps(b)))
-    assert circ.oja.t == replay.oja.t == 2 * _BATCH + 77
+    assert circ.oja.t == replay.oja.t == sum(blocks)
     assert circ.oja.w.tobytes() == replay.oja.w.tobytes()
     assert circ.pop.V.tobytes() == replay.pop.V.tobytes()
+
+
+def test_trevisan_run_steps_replays_its_block_calls_bit_for_bit():
+    # at n=300 a row split of the drive GEMM can change its last bits (it
+    # does with OpenBLAS 0.3.31), so the replay makes the same _SLICE-row calls
+    count = 2 * _BATCH + 77
+    blocks = [min(_SLICE, count - done) for done in range(0, count, _SLICE)]
+    assert_replays_bit_for_bit(generate_erdos_renyi(300, 0.1, 5), blocks)
+
+
+def test_trevisan_slice_blocks_replay_batch_blocks_bit_for_bit():
+    # _SLICE is a multiple of the leak chunk and the Gram sub-block, and the
+    # device stream is sequential, so at n=100 only the drive GEMM's row
+    # split could tell _SLICE-row blocks from _BATCH-row ones
+    g = generate_erdos_renyi(100, 0.5, 1)
+    weights = TrevisanCircuit(g, seed=3).pop.weights
+    s = DevicePool(g.n, seed=1).sample_steps(_BATCH)
+    whole = s @ weights.T
+    if any(not np.array_equal(s[i:i + _SLICE] @ weights.T, whole[i:i + _SLICE])
+           for i in range(0, _BATCH, _SLICE)):
+        pytest.skip("this BLAS rounds a row slice of the drive GEMM differently from the whole")
+    assert_replays_bit_for_bit(g, [_BATCH, _BATCH, 77])
 
 
 def test_trevisan_run_steps_allocates_no_block():
     # a (4096, 100) float64 block alone would take 3.3 MB
     circ = TrevisanCircuit(generate_erdos_renyi(100, 0.5, 1), seed=2)
     assert warm_peak_bytes(lambda: circ.run_steps(_BATCH)) < 1_000_000
+
+
+def test_trevisan_memory_does_not_grow_with_the_block_count():
+    # two (4096, 500) block buffers would take 33 MB; the (500, 500) weights
+    # take 2 MB and the two (_SLICE, 500) buffers 2 MB together, and the
+    # call peaked at 4.5 MB
+    g = generate_erdos_renyi(500, 0.1, 1)
+    config = CircuitConfig(eta0=1e-4)
+
+    def build_and_run():
+        TrevisanCircuit(g, seed=2, config=config).run_steps(2 ** 13)
+
+    assert warm_peak_bytes(build_and_run) < 8_000_000
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "3", None])

@@ -312,6 +312,19 @@ def test_er_rejects_a_probability_that_is_not_a_real_number(p):
         generate_erdos_renyi(10, p, 1)
 
 
+@pytest.mark.parametrize("field", ["n", "seed"])
+@pytest.mark.parametrize("value", [2.5, "3", None], ids=["float", "text", "none"])
+def test_er_rejects_a_size_or_seed_that_is_not_an_integer(field, value):
+    # numpy raised TypeError for these, from the n < 1 test or the generator
+    args = dict(n=10, p=0.5, seed=1) | {field: value}
+    with pytest.raises(ValueError, match=f"{field} = .* must be an integer"):
+        generate_erdos_renyi(**args)
+
+
+def test_er_numpy_integers_draw_the_graph_of_their_ints():
+    assert generate_erdos_renyi(np.int64(30), 0.25, np.int64(7)) == generate_erdos_renyi(30, 0.25, 7)
+
+
 def test_er_density_sane():
     g = generate_erdos_renyi(200, 0.25, 123)
     mean = g.m / (200 * 199 / 2)

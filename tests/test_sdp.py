@@ -184,17 +184,31 @@ def test_iteration_cap_flags_not_converged(petersen):
     assert sol.grad_norm > 1e-6
 
 
-@pytest.mark.parametrize("cfg", [SolverConfig(tol=-1.0), SolverConfig(tol=float("nan")),
-                                 SolverConfig(max_iter=-5)], ids=["tol", "tol-nan", "max_iter"])
-def test_negative_limits_rejected(k3, cfg):
+@pytest.mark.parametrize("limits", [dict(tol=-1.0), dict(tol=float("nan")), dict(tol="0.1"),
+                                    dict(max_iter=-5)], ids=["tol", "tol-nan", "tol-text", "max_iter"])
+def test_negative_limits_rejected(limits):
+    # checked when the config is built, not when a solve first reads it
     with pytest.raises(ValueError, match="must be >= 0"):
-        solve_gw_sdp(k3, config=cfg)
+        SolverConfig(**limits)
 
 
 @pytest.mark.parametrize("max_iter", [2.5, 2.0, "3"])
-def test_fractional_max_iter_rejected(k3, max_iter):
+def test_fractional_max_iter_rejected(max_iter):
     with pytest.raises(ValueError, match=r"max_iter = .* must be an integer"):
-        solve_gw_sdp(k3, config=SolverConfig(max_iter=max_iter))
+        SolverConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, "3", None])
+def test_non_integer_solver_seed_rejected(seed):
+    # 2.5 and "3" raised numpy's TypeError from the solve; None drew an unseeded start
+    with pytest.raises(ValueError, match=r"seed = .* must be an integer"):
+        SolverConfig(seed=seed)
+
+
+def test_numpy_integer_solver_settings_solve_as_their_ints(petersen):
+    a = solve_gw_sdp(petersen, config=SolverConfig(max_iter=5, seed=3))
+    b = solve_gw_sdp(petersen, config=SolverConfig(max_iter=np.int64(5), seed=np.int64(3)))
+    assert a.vectors.tobytes() == b.vectors.tobytes() and a.iterations == b.iterations == 5
 
 
 @pytest.mark.parametrize("max_iter", [None, np.int64(2), np.int32(2), 2])
