@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import CircuitConfig, run_trajectory
-from .devices import _whole
-from .graphs import _check_probability, generate_erdos_renyi, load_graph
+from .devices import _check_probability, _whole
+from .graphs import generate_erdos_renyi, load_graph
 from .sdp import solve_gw_sdp
 from .seeding import RNG_ALGORITHM, derive_seed
 
@@ -36,8 +36,10 @@ _KNOWN_N = {20, 50, 100, 200, 350, 500}
 _KNOWN_P = {0.1, 0.25, 0.5, 0.75}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A benchmark run's grid, files, methods and budget, checked when it is built."""
+
     er_n: tuple[int, ...] = (20, 50, 100)
     er_p: tuple[float, ...] = (0.1, 0.25, 0.5)
     er_graphs_per_cell: int = 5
@@ -68,7 +70,7 @@ class ExperimentConfig:
                   er_graphs_per_cell=10, samples=2 ** 20)
         return replace(cfg, **overrides)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("er_n", "er_p", "graph_files", "methods"):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
@@ -80,15 +82,12 @@ class ExperimentConfig:
             if m in self.methods[:k]:
                 raise ValueError(f"method {m!r} is listed twice; each method runs once per graph")
         # sizes that are not integers would fail every job, or the process pool
-        if _whole(self.samples, "samples") < 1:
-            raise ValueError("samples must be positive")
-        if _whole(self.er_graphs_per_cell, "er_graphs_per_cell") < 0:
-            raise ValueError("er_graphs_per_cell must be >= 0")
-        if _whole(self.jobs, "jobs") < 1:
-            raise ValueError("jobs must be >= 1")
+        _whole(self.samples, "samples", least=1)
+        _whole(self.er_graphs_per_cell, "er_graphs_per_cell", least=0)
+        _whole(self.jobs, "jobs", least=1)
         _whole(self.base_seed, "base_seed")
-        if any(_whole(n, "er_n item") < 1 for n in self.er_n):
-            raise ValueError(f"er_n must hold positive vertex counts, not {min(self.er_n)}")
+        for n in self.er_n:
+            _whole(n, "er_n item", least=1)
         for p in self.er_p:
             _check_probability(p)
         if not self.custom_grid:
@@ -223,7 +222,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Jobs are one graph each and may run in worker processes (cfg.jobs > 1);
     results are assembled in the canonical job order either way.
     """
-    cfg.validate()
     jobs = [(cfg, gid, src) for gid, src in _job_list(cfg)]
     if cfg.jobs > 1 and len(jobs) > 1:
         # imported here: the pool machinery costs import time and RSS that jobs = 1 never uses

@@ -16,11 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .devices import DevicePool, _whole
+from .devices import DevicePool, _real, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
-from .lif import LifPopulation
+from .lif import LifPopulation, _check_leak
 from .oracles import reference_hyperplane_rounds
-from .plasticity import OjaState
+from .plasticity import OjaState, _check_rates
 from .sdp import SdpSolution, SolverConfig, solve_gw_sdp
 from .seeding import derive_seed
 
@@ -39,8 +39,9 @@ METHODS = ("gw", "trevisan", "solver-rounding", "random")
 class CircuitConfig:
     """Circuit constants shared by both circuits and the benchmark harness.
 
-    Out-of-range values raise ValueError on construction, so a bad config
-    fails before any job runs rather than in every job that uses it.
+    Out-of-range, non-integer and non-real values raise ValueError on
+    construction, so a bad config fails before any job runs rather than in
+    every job that uses it.
     """
 
     alpha: float = 0.05          # membrane leak per step
@@ -52,21 +53,14 @@ class CircuitConfig:
     sdp_max_iter: int | None = None
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha = {self.alpha} outside (0, 1)")
-        if _whole(self.epoch_steps, "epoch_steps") < 1:
-            raise ValueError(f"epoch_steps = {self.epoch_steps} must be >= 1")
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 = {self.eta0} must be positive")
-        if not self.tau > 0:
-            raise ValueError(f"tau = {self.tau} must be positive")
-        if _whole(self.rank, "rank") < 2:
-            raise ValueError(f"rank = {self.rank} must be >= 2")
-        if not self.sdp_tol >= 0:
+        _check_leak(self.alpha)
+        _whole(self.epoch_steps, "epoch_steps", least=1)
+        _check_rates(self.eta0, self.tau)
+        _whole(self.rank, "rank", least=2)
+        if not _real(self.sdp_tol, "sdp_tol") >= 0:  # written so that NaN fails it
             raise ValueError(f"sdp_tol = {self.sdp_tol} must be >= 0")
-        if self.sdp_max_iter is not None and _whole(self.sdp_max_iter, "sdp_max_iter") < 0:
-            raise ValueError(f"sdp_max_iter = {self.sdp_max_iter} must be >= 0")
+        if self.sdp_max_iter is not None:
+            _whole(self.sdp_max_iter, "sdp_max_iter", least=0)
 
     def solver_config(self, seed: int) -> SolverConfig:
         """The relaxation solver's settings under this config, started from seed."""
@@ -185,9 +179,7 @@ class TrevisanCircuit:
         OpenBLAS 0.3.31 it moved none for n <= 192, and some for n = 255,
         350 and 500.
         """
-        count = _whole(count, "count")
-        if count < 1:
-            raise ValueError("count must be positive")
+        count = _whole(count, "count", least=1)
         done = 0
         # A diverging learner overflows before OjaState.update raises
         # NumericalDivergenceError, which is the report, so the transient IEEE
@@ -227,9 +219,7 @@ def checkpoint_schedule(total_samples: int) -> list:
 
     A budget that is not an integer (16.0, "3", None) raises ValueError.
     """
-    total_samples = _whole(total_samples, "total_samples")
-    if total_samples < 1:
-        raise ValueError("total_samples must be positive")
+    total_samples = _whole(total_samples, "total_samples", least=1)
     return [1 << k for k in range(total_samples.bit_length()) if (1 << k) <= total_samples]
 
 

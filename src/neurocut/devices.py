@@ -1,18 +1,37 @@
-"""Pools of fair two-state stochastic devices: seeded and independent."""
+"""Seeded pools of independent fair two-state devices, and the input rules all modules use."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
 
 
-def _whole(value, name: str) -> int:
-    """value as an int; ValueError for anything that is not an integer (2.7, "3", None)."""
+def _whole(value, name: str, least: int | None = None) -> int:
+    """value as an int; ValueError for a non-integer (2.7, "3", None, True) or one below least."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):  # an int subclass, but a flag, not a count
+            raise TypeError
+        whole = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} = {value!r} must be an integer") from None
+    if least is not None and whole < least:
+        raise ValueError(f"{name} = {whole} must be >= {least}")
+    return whole
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ValueError unless it is a real number (True, "0.5" and None are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r} must be a real number")
+    return float(value)
+
+
+def _check_probability(p) -> None:
+    """ValueError unless p is a real number in [0, 1]; True, "0.5" and nan are not."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p!r} must be a real number in [0, 1]")
 
 
 class DevicePool:
@@ -27,10 +46,7 @@ class DevicePool:
     """
 
     def __init__(self, count: int, seed: int = 0):
-        count = _whole(count, "count")
-        if count < 1:
-            raise ValueError("a pool needs at least one device")
-        self.count = count
+        self.count = _whole(count, "count", least=1)
         self._rng = np.random.default_rng(_whole(seed, "seed"))
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -41,9 +57,7 @@ class DevicePool:
         caller's buffer, and the next call that fills the buffer overwrites it.
         The draws are the same either way.
         """
-        steps = _whole(steps, "steps")
-        if steps < 1:
-            raise ValueError("steps must be positive")
+        steps = _whole(steps, "steps", least=1)
         if out is None:
             out = np.empty((steps, self.count))
         elif out.shape != (steps, self.count):
@@ -65,9 +79,7 @@ class DevicePool:
         bytes left in its last word, so every epoch costs the same number of
         words and epoch e equals the e-th sequential one-epoch draw.
         """
-        epochs, steps = _whole(epochs, "epochs"), _whole(steps, "steps")
-        if epochs < 1 or steps < 1:
-            raise ValueError("epochs and steps must be positive")
+        epochs, steps = _whole(epochs, "epochs", least=1), _whole(steps, "steps", least=1)
         width = -(-steps // 8)
         used = self.count * width
         words = -(-used // 8)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
 import os
 
 import numpy as np
 
-from .devices import _whole
+from .devices import _check_probability, _whole
 
 # Label rows per scoring slice in cut_values.
 _SLICE = 256
@@ -40,9 +39,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges) -> None:
-        n = _whole(n, "n")
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        n = _whole(n, "n", least=1)
         pairs = np.asarray(edges)
         if pairs.size and pairs.dtype.kind not in "iu":
             # a cast would truncate 1.7 to 1 and read True as 1
@@ -184,19 +181,12 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
     An n or seed that is not an integer (2.5, "3", None) raises ValueError.
     """
-    if _whole(n, "n") < 1:
-        raise ValueError("n must be positive")
+    n = _whole(n, "n", least=1)
     _check_probability(p)
     rng = np.random.default_rng(_whole(seed, "seed"))
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
     return Graph(n, np.column_stack([iu[mask], iv[mask]]))
-
-
-def _check_probability(p) -> None:
-    """ValueError unless p is a real number in [0, 1]; True, "0.5" and nan are not."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p!r} must be a real number in [0, 1]")
 
 
 def trevisan_matrix(g: Graph) -> np.ndarray:

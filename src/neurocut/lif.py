@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .devices import _real
+
 # Rows per leak chunk of a state block: the chunk's leak kernel is an
 # (_CHUNK, _CHUNK) lower-triangular matrix, applied as one small GEMM.
 _CHUNK = 64
+
+
+def _check_leak(alpha) -> float:
+    """alpha as a float; ValueError unless a real in (0, 1), where the Euler chain is stable."""
+    if not 0.0 < _real(alpha, "alpha") < 1.0:  # written so that NaN fails it
+        raise ValueError(f"alpha = {alpha} outside (0, 1)")
+    return float(alpha)
 
 
 class LifPopulation:
@@ -27,11 +36,9 @@ class LifPopulation:
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array (units x devices)")
         w.setflags(write=False)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"leak factor alpha = {alpha} outside (0, 1); the Euler chain would not be stable")
+        self.alpha = _check_leak(alpha)
         self.weights = w
         self.n, self.r = w.shape
-        self.alpha = float(alpha)
         self.V = np.zeros(self.n)
         q = 1.0 - self.alpha
         lag = np.subtract.outer(np.arange(_CHUNK), np.arange(_CHUNK))

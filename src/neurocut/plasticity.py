@@ -6,9 +6,19 @@ import math
 
 import numpy as np
 
+from .devices import _real
+
 # Rows per delayed (Gram-form) sub-block of a block update. Each step of a
 # sub-block costs O(rows) scalar work, the sub-block's products O(rows * n).
 _SUB = 32
+
+
+def _check_rates(eta0, tau) -> tuple[float, float]:
+    """(eta0, tau) as floats; ValueError unless each is a positive real number."""
+    for name, value in (("eta0", eta0), ("tau", tau)):
+        if not _real(value, name) > 0:  # written so that NaN fails it
+            raise ValueError(f"{name} = {value} must be positive")
+    return float(eta0), float(tau)
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -28,16 +38,10 @@ class OjaState:
     """
 
     def __init__(self, w, eta0: float = 5e-3, tau: float = 1e5):
-        # comparisons written so that NaN fails them
-        if not eta0 > 0:
-            raise ValueError(f"eta0 = {eta0} must be positive")
-        if not tau > 0:
-            raise ValueError(f"tau = {tau} must be positive")
+        self.eta0, self.tau = _check_rates(eta0, tau)
         self.w = np.array(w, dtype=float)
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")
-        self.eta0 = float(eta0)
-        self.tau = float(tau)
         self.t = 0
         self._wnorm2 = float(self.w @ self.w)
 

@@ -22,12 +22,11 @@ Ozdaglar, Parrilo & Vanli 2018, block-coordinate Burer-Monteiro).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import _whole
+from .devices import _real, _whole
 from .graphs import Graph
 
 
@@ -45,11 +44,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them; NaN could never converge
-        if not (isinstance(self.tol, numbers.Real) and self.tol >= 0):
-            raise ValueError(f"tol = {self.tol!r} must be >= 0")
-        if self.max_iter is not None and _whole(self.max_iter, "max_iter") < 0:
-            raise ValueError(f"max_iter = {self.max_iter} must be >= 0")
+        if not _real(self.tol, "tol") >= 0:  # so that NaN, which never converges, fails
+            raise ValueError(f"tol = {self.tol} must be >= 0")
+        if self.max_iter is not None:
+            _whole(self.max_iter, "max_iter", least=0)
         _whole(self.seed, "seed")
 
 
@@ -68,9 +66,8 @@ class SdpSolution:
 
 
 def effective_rank(rank: int, n: int) -> int:
-    """Requested rank, clamped so tiny graphs do not waste dimensions."""
-    if rank < 2:
-        raise ValueError("rank must be at least 2")
+    """Requested rank, an integer >= 2 (else ValueError), clamped so tiny graphs waste none."""
+    rank = _whole(rank, "rank", least=2)
     return min(rank, n) if n < 4 else rank
 
 

@@ -1,6 +1,6 @@
 import csv
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,15 +166,32 @@ def test_negative_solver_cap_fails_each_job(tmp_path):
 
 
 def test_validate_rejects_bad_config():
+    # the config checks itself when it is built; there is no validate() to forget
+    for overrides in (dict(methods=("simulated-annealing",)), dict(samples=0), dict(jobs=0)):
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
     with pytest.raises(ValueError):
-        run_experiment(tiny_config(methods=("simulated-annealing",)))
-    with pytest.raises(ValueError):
-        run_experiment(tiny_config(samples=0))
-    with pytest.raises(ValueError):
-        run_experiment(tiny_config(jobs=0))
-    with pytest.raises(ValueError):
-        ExperimentConfig(er_n=(13,), er_p=(0.5,)).validate()  # off-grid without flag
-    ExperimentConfig(er_n=(13,), er_p=(0.5,), custom_grid=True).validate()
+        ExperimentConfig(er_n=(13,), er_p=(0.5,))  # off-grid without flag
+    ExperimentConfig(er_n=(13,), er_p=(0.5,), custom_grid=True)
+    assert not hasattr(ExperimentConfig, "validate")
+
+
+def test_config_is_frozen_and_every_replace_checks():
+    cfg = tiny_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.samples = 0
+    with pytest.raises(ValueError, match=r"^samples = 0 must be >= 1"):
+        replace(cfg, samples=0)
+    with pytest.raises(ValueError, match=r"^jobs = 0 must be >= 1"):
+        ExperimentConfig.desk_scale(jobs=0)
+
+
+def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
+    # before, the file parsed and the error waited for run_experiment
+    p = tmp_path / "bad.cfg"
+    p.write_text("er_n = 10\ner_p = 0.5\ncustom_grid = true\nsamples = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^samples = 0 must be >= 1"):
+        parse_config_file(p)
 
 
 @pytest.mark.parametrize("overrides, problem", [
@@ -184,25 +201,29 @@ def test_validate_rejects_bad_config():
     (dict(er_graphs_per_cell=1.0), "er_graphs_per_cell = 1.0 must be an integer"),
     (dict(jobs=1.5), "jobs = 1.5 must be an integer"),
     (dict(jobs=2.0), "jobs = 2.0 must be an integer"),
-], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs"])
+    # (True,) ran n = 1 graphs under graph id er-nTrue-p0.5-0
+    (dict(er_n=(True,)), "er_n item = True must be an integer"),
+    (dict(samples=True), "samples = True must be an integer"),
+], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs",
+        "er_n-bool", "samples-bool"])
 def test_validate_rejects_non_integer_sizes(overrides, problem):
     # caught before any job runs: each job failed on it, or the process pool raised TypeError
     with pytest.raises(ValueError, match=re.escape(problem)):
-        tiny_config(**overrides).validate()
+        tiny_config(**overrides)
 
 
 @pytest.mark.parametrize("base_seed", [2.7, "7"])
 def test_validate_rejects_non_integer_base_seed(base_seed):
     # 2.7 ran as base seed 2, "7" as 7
     with pytest.raises(ValueError, match="base_seed = .* must be an integer"):
-        tiny_config(base_seed=base_seed).validate()
+        tiny_config(base_seed=base_seed)
 
 
 @pytest.mark.parametrize("er_p", [("0.5",), (True,), (0.5, None)], ids=["text", "bool", "none"])
 def test_validate_rejects_probabilities_that_are_not_real_numbers(er_p):
-    # "0.5" raised TypeError from validate; (True,) ran as p = 1 under graph id er-n10-pTrue-0
+    # "0.5" raised TypeError; (True,) ran as p = 1 under graph id er-n10-pTrue-0
     with pytest.raises(ValueError, match="must be a real number in"):
-        tiny_config(er_p=er_p).validate()
+        tiny_config(er_p=er_p)
 
 
 @pytest.mark.parametrize("overrides", [dict(er_n="20"), dict(er_p="0.5"),
@@ -212,7 +233,7 @@ def test_validate_rejects_a_bare_string_for_a_sequence(overrides):
     # graph_files="g.mtx" became five file jobs g, "", m, t and x; methods="random" read as "r"
     (name, value), = overrides.items()
     with pytest.raises(ValueError, match=f"{name} must be a sequence, not the string '{value}'"):
-        tiny_config(**overrides).validate()
+        tiny_config(**overrides)
 
 
 @pytest.mark.parametrize("overrides, gid", [
@@ -225,11 +246,11 @@ def test_validate_rejects_a_bare_string_for_a_sequence(overrides):
 def test_validate_rejects_duplicate_graph_ids(overrides, gid):
     # two jobs with one id would share seeds and overwrite each other's metadata
     with pytest.raises(ValueError, match=f"duplicate graph id '{gid}'"):
-        ExperimentConfig(**overrides).validate()
+        ExperimentConfig(**overrides)
 
 
 def test_known_grid_values_need_no_flag():
-    ExperimentConfig(er_n=(20, 500), er_p=(0.75,)).validate()
+    ExperimentConfig(er_n=(20, 500), er_p=(0.75,))
 
 
 def test_output_files(tmp_path):
@@ -418,8 +439,6 @@ def test_scale_presets():
     full = ExperimentConfig.full_scale(jobs=4)
     assert full.er_graphs_per_cell == 10
     assert full.jobs == 4
-    desk.validate()
-    full.validate()
 
 
 # the configs README.md shows, by the file name on each block's first line
@@ -440,4 +459,3 @@ def test_readme_example_configs_parse_to_their_presets(tmp_path):
         p.write_text(block, encoding="utf-8")
         cfg = parse_config_file(p)
         assert cfg == _README_CONFIGS[name], name
-        cfg.validate()

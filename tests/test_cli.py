@@ -186,13 +186,13 @@ def test_bench_jobs_zero_exits_1(tmp_path, capsys):
     cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
                    "methods = random\ncustom_grid = true\n", encoding="utf-8")
     assert main(["bench", "--config", str(cfg), "--jobs", "0"]) == 1
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert "error: jobs = 0 must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, problem", [
     ("er_n = 20\nmethods = random, random\n", "method 'random' is listed twice"),
-    ("er_n = 0\ncustom_grid = true\n", "er_n must hold positive vertex counts, not 0"),
-    ("er_n = 10, -3\ncustom_grid = true\n", "er_n must hold positive vertex counts, not -3"),
+    ("er_n = 0\ncustom_grid = true\n", "er_n item = 0 must be >= 1"),
+    ("er_n = 10, -3\ncustom_grid = true\n", "er_n item = -3 must be >= 1"),
 ], ids=["repeated-method", "zero-n", "negative-n"])
 def test_bench_rejects_repeated_method_and_non_positive_n(lines, problem, tmp_path, capsys):
     # rejected before any job runs: a repeated method doubled its rows and a

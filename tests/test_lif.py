@@ -38,6 +38,8 @@ def test_unstable_constants_rejected():
         LifPopulation(np.ones((2, 2)), alpha=2.0)
     with pytest.raises(ValueError):
         LifPopulation(np.ones((2, 2)), alpha=1.0)
+    with pytest.raises(ValueError, match="^alpha = None must be a real number"):
+        LifPopulation(np.ones((2, 2)), alpha=None)  # raised TypeError from the comparison
     with pytest.raises(ValueError):
         LifPopulation(np.ones(4))  # not a matrix
 

@@ -18,6 +18,8 @@ def test_state_validation():
         OjaState([1.0, 0.0], eta0=0.0)
     with pytest.raises(ValueError):
         OjaState([1.0, 0.0], tau=-1.0)
+    with pytest.raises(ValueError, match="^eta0 = '1e-3' must be a real number"):
+        OjaState([1.0, 0.0], eta0="1e-3")  # raised TypeError from the comparison
     with pytest.raises(ValueError):
         OjaState(np.ones((2, 2)))
     st1 = OjaState([1.0, 0.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,12 @@ def test_effective_rank_clamps_tiny_graphs():
     assert effective_rank(7, 3) == 3
     with pytest.raises(ValueError):
         effective_rank(1, 10)
+
+
+def test_non_integer_rank_rejected(petersen):
+    # 2.5 reached numpy's standard_normal and raised TypeError
+    with pytest.raises(ValueError, match="^rank = 2.5 must be an integer"):
+        solve_gw_sdp(petersen, 2.5)
 
 
 def test_normalize_rows():
@@ -184,11 +192,13 @@ def test_iteration_cap_flags_not_converged(petersen):
     assert sol.grad_norm > 1e-6
 
 
-@pytest.mark.parametrize("limits", [dict(tol=-1.0), dict(tol=float("nan")), dict(tol="0.1"),
-                                    dict(max_iter=-5)], ids=["tol", "tol-nan", "tol-text", "max_iter"])
-def test_negative_limits_rejected(limits):
+@pytest.mark.parametrize("limits, problem", [
+    (dict(tol=-1.0), "tol = -1.0 must be >= 0"), (dict(tol=float("nan")), "tol = nan must be >= 0"),
+    (dict(tol="0.1"), "tol = '0.1' must be a real number"), (dict(max_iter=-5), "max_iter = -5 must be >= 0"),
+], ids=["tol", "tol-nan", "tol-text", "max_iter"])
+def test_negative_limits_rejected(limits, problem):
     # checked when the config is built, not when a solve first reads it
-    with pytest.raises(ValueError, match="must be >= 0"):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
         SolverConfig(**limits)
 
 
