@@ -90,6 +90,10 @@ class ExperimentConfig:
             _whole(n, "er_n item", least=1)
         for p in self.er_p:
             _check_probability(p)
+        if not isinstance(self.custom_grid, bool):  # "false" is truthy
+            raise ValueError(f"custom_grid = {self.custom_grid!r} must be a bool")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir = {self.out_dir!r} must be None or a path")
         if not self.custom_grid:
             bad_n = [n for n in self.er_n if n not in _KNOWN_N]
             bad_p = [p for p in self.er_p if p not in _KNOWN_P]
@@ -372,7 +376,8 @@ def parse_config_file(path) -> ExperimentConfig:
     Keys are the field names of ExperimentConfig (except circuit) and of
     CircuitConfig. Lists are comma-separated; 'scale = desk|full' selects a
     preset before other keys override it; later lines win; unknown keys are
-    input errors.
+    input errors. A value that a config rejects names its line; the rules
+    across keys (the preset grid, duplicate graph ids) are checked last.
     """
     entries = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -397,13 +402,15 @@ def parse_config_file(path) -> ExperimentConfig:
     experiment: dict = {}
     circuit = cfg.circuit
     for lineno, key, value in entries:
+        # one key at a time, so a value the configs reject names its line; the
+        # preset grid rule waits for every key, so it is off until the end
         try:
             if key == "scale":
                 continue
             elif key in _EXPERIMENT_KEYS:
                 experiment[key] = _EXPERIMENT_KEYS[key](value)
+                replace(cfg, **{"custom_grid": True, key: experiment[key]})
             elif key in _CIRCUIT_KEYS:
-                # one key at a time, so a value CircuitConfig rejects names its line
                 circuit = replace(circuit, **{key: _CIRCUIT_KEYS[key](value)})
             else:
                 raise ValueError(f"unknown config key {key!r}")

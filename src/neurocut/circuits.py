@@ -111,7 +111,7 @@ class GwCircuit:
         it. The epochs are the same either way. A count that is not a
         positive integer raises ValueError.
         """
-        count = _whole(count, "count")
+        count = _whole(count, "count", least=1)
         if out is None:
             out = np.empty((count, self.graph.n))
         elif out.shape != (count, self.graph.n):
@@ -127,9 +127,10 @@ class GwCircuit:
         membrane buffer, and each slice's signs are written straight into the
         int8 result (+1 where the membrane is positive, ties to -1). The
         device stream is split-invariant by epoch, so the slicing cannot
-        change a label. A count that is not an integer raises ValueError.
+        change a label. A count that is not a positive integer raises
+        ValueError.
         """
-        count = _whole(count, "count")
+        count = _whole(count, "count", least=1)
         labels = np.empty((count, self.graph.n), dtype=np.int8)
         for start in range(0, count, _SLICE):
             b = min(_SLICE, count - start)
@@ -144,10 +145,11 @@ class TrevisanCircuit:
     """Spectral-cut learner: free-running LIF stage feeding an anti-Hebbian vector.
 
     Stage-one weights are M sqrt(1 - q^2), with M = I + normalized adjacency
-    and q = 1 - alpha. That factor is 1/sqrt(kappa), so the stationary
-    membrane covariance is M^2 itself: the membranes reach the learner at
-    unit scale, and M^2 shares the eigenvectors of M, in particular its
-    minimum one. The cut is the sign pattern of the learned vector.
+    and q = 1 - alpha. The leak's stationary gain on the input variance is
+    1/(1 - q^2), which that factor undoes, so the stationary membrane
+    covariance is M^2 itself: the membranes reach the learner at unit scale,
+    and M^2 shares the eigenvectors of M, in particular its minimum one. The
+    cut is the sign pattern of the learned vector.
 
     Its block buffers are two (_SLICE, n) arrays, where GwCircuit has one:
     0.4 MB at n=100 and 2 MB at n=500, whatever the step count.
@@ -168,9 +170,10 @@ class TrevisanCircuit:
 
         Each block's membranes come from one LifPopulation.step call and its
         plasticity updates from one OjaState.update call, so the result agrees
-        with single steps to rounding, and the same schedule of calls
-        reproduces it bit for bit. The blocks are drawn and integrated in the
-        circuit's own two (_SLICE, n) buffers, so no block allocates its own.
+        with the row-by-row recurrence to rounding, and the same schedule of
+        calls reproduces it bit for bit. The blocks are drawn and integrated in
+        the circuit's own two (_SLICE, n) buffers, so no block allocates its
+        own.
 
         Larger blocks would give the same leak chunks, Gram sub-blocks and
         draws, since _SLICE is a multiple of both chunk sizes and the device

@@ -86,7 +86,3 @@ class DevicePool:
         raw = self._rng.bit_generator.random_raw(epochs * words).astype("<u8", copy=False)
         return raw.view(np.uint8).reshape(epochs, 8 * words)[:, :used].reshape(
             epochs, self.count, width)
-
-    def covariance(self) -> np.ndarray:
-        """Analytic single-step covariance: independent fair ±1 devices have unit variance."""
-        return np.eye(self.count)

@@ -17,13 +17,10 @@ _FLOAT32_EXACT = 1 << 24
 
 
 class ParseError(ValueError):
-    """Malformed graph file. Carries the offending line number when known."""
+    """Malformed graph file; the message names the offending line."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
 
 
 class Graph:

@@ -68,7 +68,9 @@ def test_criterion_1_covariance_fidelity(capsys):
             states = pool.sample_steps(400 + 200_000)
             trace = pop.step(states)[400:]
             empirical = np.corrcoef(trace.T)
-            cov = pop.stationary_covariance(pool.covariance())
+            # fair devices have unit covariance, and the leak's gain
+            # 1/(1 - q^2) cancels in a correlation, so W W^T is the reference
+            cov = weights @ weights.T
             scale = np.sqrt(np.diag(cov))
             analytic = cov / np.outer(scale, scale)
             worst = max(worst, float(np.max(np.abs(empirical - analytic))))

@@ -190,7 +190,7 @@ def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
     # before, the file parsed and the error waited for run_experiment
     p = tmp_path / "bad.cfg"
     p.write_text("er_n = 10\ner_p = 0.5\ncustom_grid = true\nsamples = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^samples = 0 must be >= 1"):
+    with pytest.raises(ValueError, match=r"^line 4: samples = 0 must be >= 1"):
         parse_config_file(p)
 
 
@@ -204,8 +204,12 @@ def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
     # (True,) ran n = 1 graphs under graph id er-nTrue-p0.5-0
     (dict(er_n=(True,)), "er_n item = True must be an integer"),
     (dict(samples=True), "samples = True must be an integer"),
+    # "false" ran the off-grid value as if the flag were set; 5 failed in
+    # Path(5) only after every job had run
+    (dict(custom_grid="false"), "custom_grid = 'false' must be a bool"),
+    (dict(out_dir=5), "out_dir = 5 must be None or a path"),
 ], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs",
-        "er_n-bool", "samples-bool"])
+        "er_n-bool", "samples-bool", "custom_grid-text", "out_dir-int"])
 def test_validate_rejects_non_integer_sizes(overrides, problem):
     # caught before any job runs: each job failed on it, or the process pool raised TypeError
     with pytest.raises(ValueError, match=re.escape(problem)):

@@ -12,7 +12,6 @@ from neurocut import (
     ExperimentConfig,
     Graph,
     GwCircuit,
-    LifPopulation,
     NumericalDivergenceError,
     SdpSolution,
     SolverConfig,
@@ -67,13 +66,13 @@ def test_gw_epoch_matches_explicit_step_loop(c4):
     circ = GwCircuit(c4, sol, seed=7, config=cfg)
     membranes = circ.epoch_membranes(3)
     # replay: the same bit-packed epochs, unpacked to ±1 and fed through the
-    # step recurrence one state at a time, a fresh population per epoch
+    # recurrence v = (1 - alpha) v + W s one state at a time, from rest per epoch
     bits = np.unpackbits(DevicePool(sol.rank, seed=7).sample_epochs(3, cfg.epoch_steps),
                          axis=2, count=cfg.epoch_steps, bitorder="little")
     for epoch in range(3):
-        pop = LifPopulation(sol.vectors, alpha=cfg.alpha)
+        v = np.zeros(c4.n)
         for s in 2.0 * bits[epoch].T - 1.0:
-            v = pop.step(s)
+            v = (1 - cfg.alpha) * v + sol.vectors @ s
         assert np.allclose(membranes[epoch], v, atol=1e-10)
 
 
@@ -141,12 +140,16 @@ def test_gw_epoch_membranes_rejects_wrong_shaped_out(c4, shape):
         circ.epoch_membranes(5, out=np.empty(shape))
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None, 0, -2])
 def test_gw_counts_must_be_integers(c4, value):
+    # below 1, epoch_membranes(0) named epochs, sample_cuts(0) returned no
+    # rows and a negative count raised numpy's "negative dimensions" error
+    problem = (f"count = {value} must be >= 1" if value in (0, -2)
+               else "count = .* must be an integer")
     circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
-    with pytest.raises(ValueError, match="count = .* must be an integer"):
+    with pytest.raises(ValueError, match=problem):
         circ.sample_cuts(value)
-    with pytest.raises(ValueError, match="count = .* must be an integer"):
+    with pytest.raises(ValueError, match=problem):
         circ.epoch_membranes(value)
     assert circ.sample_cuts(np.int64(3)).shape == (3, 4)
     assert circ.epoch_membranes(np.int64(3)).shape == (3, 4)
@@ -363,12 +366,25 @@ def test_trevisan_divergence_raises_no_ieee_warning(k3):
 
 
 def test_trevisan_input_scale_undoes_stationary_variance(petersen):
-    # the 1/sqrt(kappa) input scale sits in the LIF weights, so the membranes
-    # reach the learner with stationary covariance M^2, not kappa M^2
+    # the sqrt(1 - q^2) input scale sits in the LIF weights W, so the membranes'
+    # stationary covariance W W^T / (1 - q^2), with fair unit-variance
+    # devices, is M^2 and not the leak's gain times M^2
     circ = TrevisanCircuit(petersen, seed=0)
     m = trevisan_matrix(petersen)
-    cov = circ.pop.stationary_covariance(circ.pool.covariance())
-    assert np.max(np.abs(cov - m @ m)) <= 1e-12
+    w, q = circ.pop.weights, 1.0 - circ.pop.alpha
+    assert np.max(np.abs(w @ w.T / (1.0 - q * q) - m @ m)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
+def test_trevisan_membranes_have_covariance_m_squared_at_any_leak(alpha):
+    # measured, not derived: the sqrt(1 - q^2) factor brings the membranes to
+    # covariance M^2 whatever the leak; without it the worst entry is off by
+    # 12.4 at alpha = 0.05 and 0.44 at 0.5 (0.02 at 0.9, where q^2 is 0.01)
+    g = generate_erdos_renyi(10, 0.5, 4)
+    circ = TrevisanCircuit(g, seed=1, config=CircuitConfig(alpha=alpha))
+    trace = circ.pop.step(circ.pool.sample_steps(400 + 200_000))[400:]
+    m = trevisan_matrix(g)
+    assert np.max(np.abs(np.cov(trace.T, bias=True) - m @ m)) <= 0.1
 
 
 @given(st.integers(2, 24), st.integers(0, 2 ** 31))

@@ -190,9 +190,9 @@ def test_bench_jobs_zero_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lines, problem", [
-    ("er_n = 20\nmethods = random, random\n", "method 'random' is listed twice"),
-    ("er_n = 0\ncustom_grid = true\n", "er_n item = 0 must be >= 1"),
-    ("er_n = 10, -3\ncustom_grid = true\n", "er_n item = -3 must be >= 1"),
+    ("er_n = 20\nmethods = random, random\n", "line 5: method 'random' is listed twice"),
+    ("er_n = 0\ncustom_grid = true\n", "line 4: er_n item = 0 must be >= 1"),
+    ("er_n = 10, -3\ncustom_grid = true\n", "line 4: er_n item = -3 must be >= 1"),
 ], ids=["repeated-method", "zero-n", "negative-n"])
 def test_bench_rejects_repeated_method_and_non_positive_n(lines, problem, tmp_path, capsys):
     # rejected before any job runs: a repeated method doubled its rows and a

@@ -14,14 +14,12 @@ def make_pop(n=3, r=2, seed=0, **kwargs):
 def test_defaults_give_alpha_005():
     pop = make_pop()
     assert pop.alpha == pytest.approx(0.05)
-    assert pop.kappa == pytest.approx(1.0 / (1.0 - 0.95 ** 2))
 
 
 def test_step_recurrence_by_hand():
     pop = LifPopulation(np.array([[2.0]]), alpha=0.05)
-    v1 = pop.step(np.array([1.0]))[0]
+    v1, v2 = pop.step(np.array([[1.0], [-1.0]]))[:, 0]
     assert v1 == pytest.approx(2.0)  # 0.95*0 + 1*2*1
-    v2 = pop.step(np.array([-1.0]))[0]
     assert v2 == pytest.approx(0.95 * 2.0 - 2.0)
 
 
@@ -31,6 +29,8 @@ def test_step_validates_shape():
         pop.step(np.zeros(3))
     with pytest.raises(ValueError):
         pop.step(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"expected \(T, 2\)"):
+        pop.step(np.zeros(2))  # a single state is a (1, r) block
 
 
 def test_unstable_constants_rejected():
@@ -42,6 +42,16 @@ def test_unstable_constants_rejected():
         LifPopulation(np.ones((2, 2)), alpha=None)  # raised TypeError from the comparison
     with pytest.raises(ValueError):
         LifPopulation(np.ones(4))  # not a matrix
+
+
+def recurrence(w, states, alpha=0.05, v0=None):
+    """The membranes after each step of v = (1 - alpha) v + w s, one row at a time."""
+    v = np.zeros(len(w)) if v0 is None else v0
+    rows = []
+    for s in states:
+        v = (1 - alpha) * v + w @ s
+        rows.append(v)
+    return np.array(rows)
 
 
 def assert_rel_close(got, want, rel=1e-12):
@@ -56,10 +66,7 @@ def test_fresh_block_equals_step_loop(n, r, steps, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, r))
     states = DevicePool(r, seed=seed).sample_steps(steps)
-    traj = LifPopulation(w).step(states)
-    pop = LifPopulation(w)
-    stepped = np.array([pop.step(s).copy() for s in states])
-    assert_rel_close(traj, stepped)
+    assert_rel_close(LifPopulation(w).step(states), recurrence(w, states))
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 200), st.integers(0, 2 ** 31),
@@ -71,13 +78,11 @@ def test_step_block_equals_row_loop(n, r, steps, seed, alpha):
     w = rng.standard_normal((n, r))
     v0 = rng.standard_normal(n)
     states = DevicePool(r, seed=seed).sample_steps(steps)
-    block, rows = LifPopulation(w, alpha=alpha), LifPopulation(w, alpha=alpha)
+    block = LifPopulation(w, alpha=alpha)
     block.V[:] = v0
-    rows.V[:] = v0
     live = block.V
     out = block.step(states)
-    stepped = np.array([rows.step(s).copy() for s in states])
-    assert_rel_close(out, stepped)
+    assert_rel_close(out, recurrence(w, states, alpha, v0))
     assert block.V is live
     assert np.array_equal(block.V, out[-1])
 
@@ -93,28 +98,14 @@ def test_step_block_into_a_buffer_equals_a_fresh_block():
     assert not np.shares_memory(into.V, buf)
     with pytest.raises(ValueError, match="shape"):
         into.step(states, out=buf[:149])
-    with pytest.raises(ValueError, match="block"):
-        into.step(states[0], out=buf[:1])
-
-
-def test_stationary_covariance_formula():
-    pop = make_pop(4, 3, seed=2)
-    cov = np.diag([4.0, 1.0, 0.25])
-    expect = pop.kappa * pop.weights @ cov @ pop.weights.T
-    assert np.allclose(pop.stationary_covariance(cov), expect)
-    with pytest.raises(ValueError):
-        pop.stationary_covariance(np.eye(2))
-    asym = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        pop.stationary_covariance(asym)
 
 
 def test_empirical_variance_approaches_kappa():
-    # single unit, single fair device, weight 1: Var(V) -> kappa * 4 * b(1-b) = kappa
+    # single unit, single fair device, weight 1: Var(V) -> kappa = 1 / (1 - q^2), q = 0.95
     pop = LifPopulation(np.array([[1.0]]))
     states = DevicePool(1, seed=3).sample_steps(120000)
     v = pop.step(states)[200:, 0]
-    assert np.var(v) == pytest.approx(pop.kappa, rel=0.05)
+    assert np.var(v) == pytest.approx(1.0 / (1.0 - 0.95 ** 2), rel=0.05)
 
 
 def test_membrane_scale_invariance_of_signs():
