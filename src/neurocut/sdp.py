@@ -104,10 +104,12 @@ def _colour_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and then coloured in reverse removal order, each with the least colour no
     coloured neighbour has. Returns (order, bounds): order lists the vertices class by
     class, and class c is order[bounds[c]:bounds[c + 1]]. No edge joins two
-    vertices of one class.
+    vertices of one class. Isolated vertices are in no class: order lists them
+    after bounds[-1], so an edgeless graph has no class (bounds == [0]).
     """
     n = a.shape[0]
     degree = a.sum(axis=1)
+    isolated = degree == 0
     removal = np.empty(n, dtype=np.intp)
     for k in range(n):
         v = int(np.argmin(degree))
@@ -119,8 +121,10 @@ def _colour_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         used = np.zeros(n + 1, dtype=bool)
         used[colour[a[v] != 0]] = True
         colour[v] = int(np.argmin(used))
+    colour[isolated] = n  # sorts after every class
     order = np.argsort(colour, kind="stable")
-    bounds = np.searchsorted(colour[order], np.arange(int(colour.max()) + 2))
+    count = int(colour[~isolated].max(initial=-1)) + 1
+    bounds = np.searchsorted(colour[order], np.arange(count + 1))
     return order, bounds
 
 
@@ -130,16 +134,20 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     The start is normalize_rows(standard_normal((n, r))) from
     default_rng(config.seed), so a run is deterministic for a fixed seed.
     The graph is coloured once (_colour_classes) and A and W are permuted once
-    so that each class is a contiguous row slice. A sweep then visits the
-    classes in order and sets their rows at once, with one product
-    z = A[lo:hi] @ W and w_i = -z_i / |z_i|, the unique maximizer of f over
-    row i; a row with z_i = 0 does not enter f and is left as it is. No row of
-    a class enters another's z, so a sweep is an exact row-by-row sweep in the
-    permuted order, and f never decreases. Before each sweep the Riemannian
-    gradient norm is compared with config.tol; a run that reaches the sweep
-    cap first comes back flagged converged=False rather than raising, so
-    callers can decide. iterations counts sweeps. An edgeless graph
-    converges at once with f = 0. The vectors come back in vertex order.
+    so that each class is a contiguous row slice; A is then negated in place,
+    which is exact. A sweep visits the classes in order and sets their rows at
+    once, with one product z = -A[lo:hi] @ W and w_i = z_i / |z_i|, the unique
+    maximizer of f over row i. Each class is four numpy calls into buffers
+    allocated once per solve. No row of a class enters another's z, so a sweep
+    is an exact row-by-row sweep in the permuted order, and f never decreases.
+    Isolated vertices are in no class: their z is 0, so they keep their start
+    rows. A swept row whose neighbours cancel exactly (z_i = 0) does not enter
+    f and is left as it is: a sweep that meets one is replayed from a copy of
+    W taken before it, with the divide masked to rows of nonzero norm. Before
+    each sweep the Riemannian gradient norm is compared with config.tol; a run
+    that reaches the sweep cap first comes back flagged converged=False rather
+    than raising, so callers can decide. iterations counts sweeps. An edgeless
+    graph converges at once with f = 0. The vectors come back in vertex order.
     SolverConfig checks its limits and seed when it is built; max_iter=0
     returns the start.
     """
@@ -147,22 +155,41 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     r = effective_rank(rank, g.n)
     rng = np.random.default_rng(cfg.seed)
     order, bounds = _colour_classes(g.adjacency)
-    a = g.adjacency[np.ix_(order, order)]
+    neg = g.adjacency[np.ix_(order, order)]
+    np.negative(neg, out=neg)
     w = normalize_rows(rng.standard_normal((g.n, r)))[order]
-    classes = list(zip(bounds[:-1], bounds[1:]))
+    z = np.empty_like(w)
+    norm = np.empty((g.n, 1))
+    grad = np.empty_like(w)
+    before = np.empty_like(w)
+    swept = norm[:bounds[-1]]
+    # norm[lo:hi, 0] takes vecdot's (k,) output; norm[lo:hi] broadcasts in the divide
+    classes = [(neg[lo:hi], z[lo:hi], norm[lo:hi, 0], norm[lo:hi], w[lo:hi])
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def sweep(masked: bool) -> None:
+        for rows, z_c, sq_c, norm_c, w_c in classes:
+            np.dot(rows, w, out=z_c)
+            np.vecdot(z_c, z_c, out=sq_c)
+            np.sqrt(sq_c, out=sq_c)
+            np.divide(z_c, norm_c, out=w_c, where=norm_c > 0.0 if masked else True)
+
     cap = cfg.max_iter if cfg.max_iter is not None else 50 * g.n
     iterations = 0
-    while True:
-        grad = -0.5 * (a @ w)
-        grad -= np.einsum("ij,ij->i", grad, w)[:, None] * w  # tangent projection
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.tol or iterations >= cap:
-            break
-        for lo, hi in classes:
-            z = a[lo:hi] @ w
-            norm = np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
-            np.divide(z, -norm, out=w[lo:hi], where=norm > 0.0)
-        iterations += 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            np.dot(neg, w, out=grad)
+            grad *= 0.5
+            grad -= np.vecdot(grad, w)[:, None] * w  # tangent projection
+            grad_norm = float(np.linalg.norm(grad))
+            if grad_norm <= cfg.tol or iterations >= cap:
+                break
+            np.copyto(before, w)
+            sweep(masked=False)
+            if not swept.all():  # a row with z_i = 0: redo the sweep, keeping it
+                np.copyto(w, before)
+                sweep(masked=True)
+            iterations += 1
     vectors = np.empty_like(w)
     vectors[order] = w
     return SdpSolution(vectors, r, _objective(g, vectors), grad_norm, iterations,
