@@ -132,13 +132,9 @@ class ExperimentResult:
 
 def _config_metadata(cfg: ExperimentConfig) -> dict:
     meta = {"artifact": "neurocut", "rng_algorithm": RNG_ALGORITHM}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "circuit":
-            for cf in fields(CircuitConfig):
-                meta[f"config.circuit.{cf.name}"] = _fmt(getattr(value, cf.name))
-        else:
-            meta[f"config.{f.name}"] = _fmt(value)
+    for key, (_, in_circuit) in _KEYS.items():
+        owner, prefix = (cfg.circuit, "config.circuit.") if in_circuit else (cfg, "config.")
+        meta[prefix + key] = _fmt(getattr(owner, key))
     return meta
 
 
@@ -356,18 +352,25 @@ def _value_parser(hint):
     if type(None) in args:
         item = _value_parser(args[0])
         unset = ("",) if args[0] is str else ("", "none")
-        return lambda text: None if text.lower() in unset else item(text)
+
+        def optional(text):
+            return None if text.lower() in unset else item(text)
+        optional.__name__ = item.__name__  # argparse: "invalid int value: 'x'"
+        return optional
     return _parse_bool if hint is bool else hint
 
 
-def _key_parsers(cls, skip=()) -> dict:
+def _key_parsers(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    return {f.name: _value_parser(hints[f.name]) for f in fields(cls) if f.name not in skip}
+    return {f.name: _value_parser(hints[f.name]) for f in fields(cls)}
 
 
-# Every ExperimentConfig field but circuit, and every CircuitConfig field, is a key.
-_EXPERIMENT_KEYS = _key_parsers(ExperimentConfig, skip=("circuit",))
-_CIRCUIT_KEYS = _key_parsers(CircuitConfig)
+# The config schema, in metadata.txt's order: key -> (parser, in_circuit) for
+# every ExperimentConfig field, with CircuitConfig's fields in circuit's place.
+_KEYS = {key: (parse, name == "circuit")
+         for name, parser in _key_parsers(ExperimentConfig).items()
+         for key, parse in (_key_parsers(CircuitConfig).items() if name == "circuit"
+                            else [(name, parser)])}
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -391,29 +394,28 @@ def parse_config_file(path) -> ExperimentConfig:
             entries.append((lineno, key.strip(), value.strip()))
 
     cfg = ExperimentConfig()
+    presets = {"desk": ExperimentConfig.desk_scale, "full": ExperimentConfig.full_scale}
     for lineno, key, value in entries:
         if key == "scale":
-            if value == "desk":
-                cfg = ExperimentConfig.desk_scale()
-            elif value == "full":
-                cfg = ExperimentConfig.full_scale()
-            else:
+            if value not in presets:
                 raise ValueError(f"line {lineno}: unknown scale {value!r}")
+            cfg = presets[value]()
     experiment: dict = {}
     circuit = cfg.circuit
     for lineno, key, value in entries:
         # one key at a time, so a value the configs reject names its line; the
         # preset grid rule waits for every key, so it is off until the end
+        if key == "scale":
+            continue
         try:
-            if key == "scale":
-                continue
-            elif key in _EXPERIMENT_KEYS:
-                experiment[key] = _EXPERIMENT_KEYS[key](value)
-                replace(cfg, **{"custom_grid": True, key: experiment[key]})
-            elif key in _CIRCUIT_KEYS:
-                circuit = replace(circuit, **{key: _CIRCUIT_KEYS[key](value)})
-            else:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            parse, in_circuit = _KEYS[key]
+            if in_circuit:
+                circuit = replace(circuit, **{key: parse(value)})
+            else:
+                experiment[key] = parse(value)
+                replace(cfg, **{"custom_grid": True, key: experiment[key]})
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
     return replace(cfg, **experiment, circuit=circuit)

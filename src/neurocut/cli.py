@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from . import __version__
-from .bench import parse_config_file, run_experiment, summarize
+from .bench import _key_parsers, parse_config_file, run_experiment, summarize
 from .circuits import METHODS, CircuitConfig, run_trajectory
 from .graphs import cut_value, generate_erdos_renyi, load_graph, save_graph
 from .oracles import brute_force_maxcut, spectral_cut
@@ -22,9 +22,9 @@ from .seeding import RNG_ALGORITHM
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2
 
-# flag defaults come from the config dataclasses, so the two cannot drift apart
-_CIRCUIT = CircuitConfig()
-_SOLVER = SolverConfig()
+# config fields taken as flags, in --help order; each parses as its config key does
+_RUN_CIRCUIT = ("rank", "alpha", "epoch_steps", "eta0", "tau")
+_SDP_SOLVER = ("tol", "max_iter", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,10 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-sdp", help="solve the low-rank cut relaxation")
     _graph_args(p)
-    p.add_argument("--rank", type=int, default=_CIRCUIT.rank)
-    p.add_argument("--tol", type=float, default=_SOLVER.tol)
-    p.add_argument("--max-iter", type=int, default=_SOLVER.max_iter)
-    p.add_argument("--seed", type=int, default=0)
+    _config_flags(p, CircuitConfig, ("rank",))
+    _config_flags(p, SolverConfig, _SDP_SOLVER)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("run", help="sample cuts with one method and report checkpoints")
@@ -62,11 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank", type=int, default=_CIRCUIT.rank)
-    p.add_argument("--alpha", type=float, default=_CIRCUIT.alpha)
-    p.add_argument("--epoch-steps", type=int, default=_CIRCUIT.epoch_steps)
-    p.add_argument("--eta0", type=float, default=_CIRCUIT.eta0)
-    p.add_argument("--tau", type=float, default=_CIRCUIT.tau)
+    _config_flags(p, CircuitConfig, _RUN_CIRCUIT)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("exact", help="exact optimum by enumeration (small graphs)")
@@ -80,6 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="override the config out_dir")
     p.add_argument("--jobs", type=int, help="override worker process count")
     return parser
+
+
+def _config_flags(p, cls, names) -> None:
+    parsers, defaults = _key_parsers(cls), cls()
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=parsers[name],
+                       default=getattr(defaults, name))
 
 
 def _graph_args(p) -> None:
@@ -122,7 +123,7 @@ def cmd_gen_er(args) -> int:
 
 def cmd_solve_sdp(args) -> int:
     g = _load(args)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    cfg = SolverConfig(**{name: getattr(args, name) for name in _SDP_SOLVER})
     with _output(args) as out:
         sol = solve_gw_sdp(g, args.rank, cfg)
         if not sol.converged:
@@ -134,8 +135,7 @@ def cmd_solve_sdp(args) -> int:
 
 def cmd_run(args) -> int:
     g = _load(args)
-    circuit = CircuitConfig(alpha=args.alpha, epoch_steps=args.epoch_steps,
-                            eta0=args.eta0, tau=args.tau, rank=args.rank)
+    circuit = CircuitConfig(**{name: getattr(args, name) for name in _RUN_CIRCUIT})
     with _output(args) as out:
         traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
                               graph_id=args.graph)
@@ -161,12 +161,9 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = parse_config_file(args.config)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
-    result = run_experiment(cfg)
+    overrides = {name: getattr(args, name) for name in ("out_dir", "jobs")
+                 if getattr(args, name) is not None}
+    result = run_experiment(replace(parse_config_file(args.config), **overrides))
     for gid, message in result.failures:
         print(f"failed {gid}: {message}", file=sys.stderr)
     if result.rows:

@@ -19,7 +19,7 @@ from neurocut import (
     solve_gw_sdp,
     summarize,
 )
-from neurocut.bench import ResultRow, write_results_csv
+from neurocut.bench import ResultRow, _config_metadata, write_results_csv
 from neurocut.seeding import derive_seed
 
 # one small cell keeps the harness tests quick; custom_grid covers n=10
@@ -433,6 +433,46 @@ def test_parse_config_sets_every_field(tmp_path):
     p = tmp_path / "every.cfg"
     p.write_text("".join(f"{k} = {text(v)}\n" for k, v in _EVERY_KEY.items()), encoding="utf-8")
     assert parse_config_file(p) == expected
+
+
+def _config_lines(metadata):
+    return [f"{k}={v}" for k, v in metadata.items() if k.startswith("config.")]
+
+
+def _reparsed(lines, tmp_path):
+    """The config that metadata.txt's config lines give, read as a config file."""
+    p = tmp_path / "reparsed.cfg"
+    p.write_text("".join(ln.removeprefix("config.circuit.").removeprefix("config.") + "\n"
+                         for ln in lines), encoding="utf-8")
+    return parse_config_file(p)
+
+
+def test_desk_run_metadata_parses_back_to_its_config(tmp_path):
+    out = str(tmp_path / "run")
+    cfg = ExperimentConfig.desk_scale(er_n=(20,), er_p=(0.5,), er_graphs_per_cell=1,
+                                      samples=16, methods=("random",), out_dir=out)
+    run_experiment(cfg)
+    written = [ln for ln in Path(out, "metadata.txt").read_text(encoding="utf-8").splitlines()
+               if ln.startswith("config.")]
+    assert [ln.partition("=")[0] for ln in written] == [
+        "config.er_n", "config.er_p", "config.er_graphs_per_cell", "config.graph_files",
+        "config.methods", "config.samples", "config.base_seed", "config.circuit.alpha",
+        "config.circuit.epoch_steps", "config.circuit.eta0", "config.circuit.tau",
+        "config.circuit.rank", "config.circuit.sdp_tol", "config.circuit.sdp_max_iter",
+        "config.out_dir", "config.jobs", "config.custom_grid"]
+    rebuilt = _reparsed(written, tmp_path)
+    assert rebuilt == cfg
+    assert _config_lines(_config_metadata(rebuilt)) == written
+
+
+def test_every_key_metadata_parses_back_to_its_config(tmp_path):
+    circuit = {f.name for f in fields(CircuitConfig)}
+    cfg = ExperimentConfig(
+        circuit=CircuitConfig(**{k: v for k, v in _EVERY_KEY.items() if k in circuit}),
+        **{k: v for k, v in _EVERY_KEY.items() if k not in circuit})
+    lines = _config_lines(_config_metadata(cfg))
+    assert len(lines) == len(_EVERY_KEY)
+    assert _reparsed(lines, tmp_path) == cfg
 
 
 def test_scale_presets():

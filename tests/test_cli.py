@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from neurocut import cli, load_graph
+from neurocut import CircuitConfig, SolverConfig, cli, load_graph, parse_config_file
 from neurocut.cli import main
 
 K3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
@@ -258,3 +258,69 @@ def test_bench_bad_config_key_exits_1(tmp_path, capsys):
         cfg.write_text(text, encoding="utf-8")
         assert main(["bench", "--config", str(cfg)]) == 1
         assert f"error: line {line}" in capsys.readouterr().err
+
+
+# --- config flags: one schema with the config files --------------------------
+
+# (command, flag, its dataclass, its field, the config key that sets the field)
+_CONFIG_FLAGS = [
+    ("run", "--rank", CircuitConfig, "rank", "rank"),
+    ("run", "--alpha", CircuitConfig, "alpha", "alpha"),
+    ("run", "--epoch-steps", CircuitConfig, "epoch_steps", "epoch_steps"),
+    ("run", "--eta0", CircuitConfig, "eta0", "eta0"),
+    ("run", "--tau", CircuitConfig, "tau", "tau"),
+    ("solve-sdp", "--rank", CircuitConfig, "rank", "rank"),
+    ("solve-sdp", "--tol", SolverConfig, "tol", "sdp_tol"),
+    ("solve-sdp", "--max-iter", SolverConfig, "max_iter", "sdp_max_iter"),
+    ("solve-sdp", "--seed", SolverConfig, "seed", None),
+]
+
+
+def _parse(command, *flags):
+    extra = ["--method", "gw"] if command == "run" else []
+    return cli.build_parser().parse_args([command, "g.mtx", *extra, *flags])
+
+
+@pytest.mark.parametrize("command, flag, cls, name, key", _CONFIG_FLAGS,
+                         ids=[c + f for c, f, *_ in _CONFIG_FLAGS])
+def test_config_flag_defaults_to_its_dataclass_default(command, flag, cls, name, key):
+    value, default = getattr(_parse(command), name), getattr(cls(), name)
+    assert value == default and type(value) is type(default)
+
+
+@pytest.mark.parametrize("command, flag, text, want", [
+    ("run", "--rank", "3", 3), ("run", "--alpha", "0.5", 0.5),
+    ("run", "--epoch-steps", "64", 64), ("run", "--eta0", "1e-3", 1e-3),
+    ("run", "--tau", "2e4", 2e4), ("solve-sdp", "--rank", "5", 5),
+    ("solve-sdp", "--tol", "1e-4", 1e-4), ("solve-sdp", "--max-iter", "7", 7),
+    ("solve-sdp", "--max-iter", "none", None), ("solve-sdp", "--max-iter", "None", None),
+    ("solve-sdp", "--max-iter", "", None),
+])
+def test_config_flag_parses_text_as_its_config_key(command, flag, text, want, tmp_path):
+    (_, _, _, name, key), = [f for f in _CONFIG_FLAGS if f[:2] == (command, flag)]
+    p = tmp_path / "key.cfg"
+    p.write_text(f"{key} = {text}\n", encoding="utf-8")
+    from_file = getattr(parse_config_file(p).circuit, key)
+    from_flag = getattr(_parse(command, flag, text), name)
+    assert from_flag == from_file == want and type(from_flag) is type(want)
+
+
+def test_solve_sdp_max_iter_none_runs_uncapped(k3_file, capsys):
+    assert main(["solve-sdp", k3_file, "--seed", "2"]) == 0
+    uncapped = capsys.readouterr().out
+    assert main(["solve-sdp", k3_file, "--seed", "2", "--max-iter", "none"]) == 0
+    assert capsys.readouterr().out == uncapped
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "K3", "--method", "gw", "--rank", "2.5"], "--rank"),
+    (["solve-sdp", "K3", "--max-iter", "x"], "--max-iter"),
+    (["solve-sdp", "K3", "--rank", "none"], "--rank"),
+    (["run", "K3", "--method", "gw", "--alpha", "fast"], "--alpha"),
+], ids=["rank-2.5", "max-iter-x", "rank-none", "alpha-text"])
+def test_bad_config_flag_exits_1_naming_the_flag(argv, flag, k3_file, capsys):
+    argv = [k3_file if a == "K3" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid" in captured.err
