@@ -74,6 +74,9 @@ class ExperimentConfig:
         for name in ("er_n", "er_p", "graph_files", "methods"):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
+        for path in self.graph_files:
+            if "," in str(path):  # config files and metadata.txt split lists on commas
+                raise ValueError(f"graph file {str(path)!r} holds a comma, which a config list cannot")
         if not self.methods:
             raise ValueError("methods must not be empty")
         for k, m in enumerate(self.methods):

@@ -60,6 +60,7 @@ class Graph:
         self.edges = pairs
         self._adjacency: np.ndarray | None = None
         self._upper: np.ndarray | None = None
+        self._pack = 0
 
     @property
     def m(self) -> int:
@@ -76,12 +77,19 @@ class Graph:
         """U, the strict upper triangle of the adjacency, that _score_rows multiplies by.
 
         float32, built on first use, cached on the graph and read-only; every
-        block product of the scorer is a view of it. A graph past the exact
-        range of cut_values raises ValueError before U is allocated.
+        block product of the scorer is a view of it. Next to it the graph
+        caches _pack, the factor c by which _score_rows packs two label rows
+        into one, or 0 where it scores one row per product row. A graph past
+        the exact range of cut_values raises ValueError before U is allocated.
         """
         if self._upper is None:
             if min(self.m, _BLOCK * (self.n - 1)) >= _FLOAT32_EXACT:
                 raise ValueError(f"graph with n = {self.n}, m = {self.m} is too large to score exactly")
+            # d, U's largest column count, bounds |s| for s = x^T U[:, j] of a ±1 row x
+            d = int(np.bincount(self.edges[:, 1], minlength=self.n).max())
+            c = 1 << (2 * d).bit_length()
+            if self.n > _BLOCK and d * (1 + c) < _FLOAT32_EXACT and self.m < _FLOAT32_EXACT:
+                self._pack = c
             self._upper = self._dense(np.float32, symmetric=False)
         return self._upper
 
@@ -124,15 +132,27 @@ def cut_values(g: Graph, labels) -> np.ndarray:
 
     For a ±1 row x, x^T A x = 2m - 4 cut(x), and x^T A x = 2 x^T U x with U
     the strict upper triangle of the adjacency, so each row scores as
-    (m - h) / 2 with h = x^T U x. h is summed over row blocks of U, about
-    half the multiply-adds of a product with all of A (see _score_rows).
-    Inside one row block every partial sum is an integer of magnitude at
-    most the block's upper-edge count, so at most min(m, _BLOCK (n - 1)).
-    While that is below 2^24, float32 block products are exact in any
-    summation order (a threaded or blocked GEMM included), and the block sums
-    add in int64, so the scores are exact. Past it (m >= 2^24 and n > 2^24 /
-    _BLOCK, where U alone would take over 64 GB) scoring raises ValueError,
-    as does any entry other than +1 or -1.
+    (m - h) / 2 with h = x^T U x. The scores are exact: every float32 sum the
+    scorer forms is an integer of magnitude below 2^24, which float32 holds
+    exactly, so no summation order (a threaded or blocked GEMM included) can
+    round it.
+
+    A graph of more than _BLOCK vertices packs two rows into one float32
+    product row (see _score_rows): y = x_a + c x_b, where d is U's largest
+    column count (the most lower-numbered neighbours of any vertex) and c is
+    the smallest power of two above 2d. An entry of y U is s_a + c s_b with
+    |s_a|, |s_b| <= d, and each of its partial sums is an integer of
+    magnitude at most d (1 + c). Adding M = 1.5 2^23 c moves the entry to
+    where float32's spacing is c, so it rounds to M + c s_b, since
+    |s_a| < c / 2; subtracting M leaves c s_b, and the rest is s_a. Each
+    half's h is then a row sum of s_j x_j, whose partial sums are at most m.
+    Where d (1 + c) or m reaches 2^24, and for graphs of at most _BLOCK
+    vertices, where packing does not pay, each row takes a product row of
+    its own over row blocks of U instead; there every partial sum is at
+    most min(m, _BLOCK (n - 1)), and the block sums add in int64.
+    Past that bound (m >= 2^24 and n > 2^24 / _BLOCK, where U alone would
+    take over 64 GB) scoring raises ValueError, as does any entry other than
+    +1 or -1.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -146,14 +166,25 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
     Rows are checked and scored _SLICE at a time, so the float copy and its
-    block products are slice-sized whatever the batch. For each row block
-    I = [lo, hi) of _BLOCK vertices, h gains
-    rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]): U is zero left of the
-    diagonal, so columns before lo add nothing, and the walk costs about
-    n^2 / 2 + n _BLOCK / 2 multiply-adds per row. A graph of at most _BLOCK
-    vertices takes one product, as many multiply-adds as X @ A. The
-    arithmetic is exact, so neither the slicing nor the blocking can change
-    a score.
+    products are slice-sized whatever the batch.
+
+    Packed (g._pack = c > 0): the slice's first half a and second half b
+    pair row for row, y = X_a + c X_b, and a slice of odd length leaves its
+    last row of a without a partner (a zero row of b). U is walked by column
+    blocks J = [lo, hi) of _BLOCK vertices, Z[:, J] = Y[:, :hi] @ U[:hi, J],
+    since U is zero below the diagonal: about n^2 / 2 + n _BLOCK / 2
+    multiply-adds per product row, so a quarter of X @ A's per label row.
+    Q = (Z + M) - M is c S_b (see cut_values), Z - Q is S_a, and h is
+    rowsum(S_a * X_a) for a and rowsum((Q / c) * X_b) for b.
+
+    Unpacked (c = 0): for each row block I = [lo, hi), h gains
+    rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]); columns before lo add
+    nothing, and the walk costs about n^2 / 2 + n _BLOCK / 2 multiply-adds
+    per label row. A graph of at most _BLOCK vertices takes one product, as
+    many multiply-adds as X @ A.
+
+    The arithmetic is exact (see cut_values), so neither the slicing, the
+    pairing nor the blocking can change a score.
     """
     out = np.zeros(v.shape[0], dtype=np.int64)
     u = g._scoring_adjacency()
@@ -162,7 +193,10 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
         x = rows.astype(np.float32)
-        h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
+        if g._pack:
+            h = _packed_sums(x, u, g._pack)
+        else:
+            h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
         out[start:start + len(rows)] = (g.m - h) // 2
     return out
 
@@ -171,6 +205,26 @@ def _block_sum(x: np.ndarray, u: np.ndarray, lo: int) -> np.ndarray:
     """rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]) for the row block I = [lo, lo + _BLOCK)."""
     hi = lo + _BLOCK
     return np.einsum("bi,bi->b", x[:, lo:hi] @ u[lo:hi, lo:], x[:, lo:])
+
+
+def _packed_sums(x: np.ndarray, u: np.ndarray, c: int) -> np.ndarray:
+    """h = x^T U x for every row of x, two rows per product row packed by c (see _score_rows)."""
+    half = (len(x) + 1) // 2
+    a, b = x[:half], x[half:]
+    y = a.copy()
+    y[:len(b)] += c * b
+    z = np.empty_like(y)
+    for lo in range(0, u.shape[0], _BLOCK):
+        hi = lo + _BLOCK
+        np.matmul(y[:, :hi], u[:hi, lo:hi], out=z[:, lo:hi])
+    big = np.float32(1.5 * 2 ** 23 * c)
+    q = (z + big) - big
+    z -= q
+    q *= np.float32(1 / c)
+    h = np.empty(len(x), dtype=np.int64)
+    h[:half] = np.einsum("bi,bi->b", z, a)
+    h[half:] = np.einsum("bi,bi->b", q[:len(b)], b)
+    return h
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:

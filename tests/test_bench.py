@@ -240,6 +240,18 @@ def test_validate_rejects_a_bare_string_for_a_sequence(overrides):
         tiny_config(**overrides)
 
 
+def test_validate_rejects_a_graph_file_with_a_comma():
+    # config.graph_files=data/a,b.mtx would read back as the two files data/a and b.mtx
+    with pytest.raises(ValueError, match=r"graph file 'data/a,b\.mtx' holds a comma"):
+        ExperimentConfig(er_n=(), er_p=(), graph_files=("data/g.mtx", "data/a,b.mtx"))
+
+
+def test_parse_config_splits_graph_files_on_commas(tmp_path):
+    p = tmp_path / "files.cfg"
+    p.write_text("er_n =\ner_p =\ngraph_files = data/a.mtx, b.mtx,c.txt\n", encoding="utf-8")
+    assert parse_config_file(p).graph_files == ("data/a.mtx", "b.mtx", "c.txt")
+
+
 @pytest.mark.parametrize("overrides, gid", [
     (dict(er_n=(20, 20), er_p=(0.5,), er_graphs_per_cell=1), "er-n20-p0.5-0"),
     (dict(er_n=(20,), er_p=(0.1, 0.1), er_graphs_per_cell=2), "er-n20-p0.1-0"),

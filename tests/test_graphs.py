@@ -248,6 +248,74 @@ def test_sliced_scoring_matches_gather_at_slice_boundaries(batch, p):
     assert got.tolist() == gather_cut_values(g, labels).tolist()
 
 
+def _paired_patterns(n, batch):
+    """Rows of all +1, all -1 and alternating signs, every pattern pair packed together.
+
+    Row k of a slice pairs with row k + half of it in the packed scorer, so
+    the first half cycles through the four patterns and the second half
+    holds each pattern for four rows; a slice of odd length leaves its last
+    row of the first half without a partner.
+    """
+    alt = np.resize(np.array([1, -1], dtype=np.int8), n)
+    patterns = np.stack([np.ones(n, dtype=np.int8), -np.ones(n, dtype=np.int8), alt, -alt])
+    picks = []
+    for start in range(0, batch, _SLICE):
+        size = min(_SLICE, batch - start)
+        half = (size + 1) // 2
+        picks += [k % 4 for k in range(half)] + [(k // 4) % 4 for k in range(size - half)]
+    return patterns[picks]
+
+
+@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 45])
+def test_packed_scoring_is_exact_on_complete_graphs(n, batch):
+    # K_n's last column of U holds d = n - 1 ones, so an all-(+1) or all-(-1) row
+    # reaches |s| = d there, the most the packing factor c > 2d must separate
+    g = generate_erdos_renyi(n, 1.0, 0)
+    labels = _paired_patterns(n, batch)
+    got = cut_values(g, labels)
+    assert g._pack == 1 << (2 * (n - 1)).bit_length()
+    assert got.dtype == np.int64 and got.shape == (batch,)
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
+    assert got[0] == 0 and (batch < 3 or got[2] == (n // 2) * (n - n // 2))
+
+
+@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_packed_scoring_matches_gather_at_slice_boundaries(batch, p):
+    g = generate_erdos_renyi(2 * _BLOCK - 11, p, 5)
+    labels = np.random.default_rng(batch).integers(0, 2, size=(batch, g.n), dtype=np.int8) * 2 - 1
+    got = cut_values(g, labels)
+    assert g._pack > 0
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
+
+
+def test_graphs_of_at_most_one_block_score_unpacked():
+    # packing at n <= _BLOCK was slower than the single product
+    for n, packs in [(_BLOCK, False), (_BLOCK + 1, True)]:
+        g = generate_erdos_renyi(n, 1.0, 0)
+        labels = _paired_patterns(n, _SLICE)
+        assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
+        assert (g._pack > 0) == packs
+
+
+@pytest.mark.parametrize("make, block, limit", [
+    # K_129: d = 128 and c = 512, so d (1 + c) = 65,664, while min(m, _BLOCK (n - 1)) = 8,256
+    (lambda: generate_erdos_renyi(_BLOCK + 1, 1.0, 0), _BLOCK, 128 * 513),
+    # edges (i, i + 1) and (i, i + 2): d = 2 and c = 8, so d (1 + c) = 18, but the
+    # packed row sums reach m = 77; the unpacked walk's bound with 1-vertex blocks is 39
+    (lambda: Graph(40, [(i, i + k) for k in (1, 2) for i in range(40 - k)]), 1, 77),
+], ids=["product-bound", "row-sum-bound"])
+def test_a_bound_at_the_float32_limit_keeps_the_unpacked_product(make, block, limit, monkeypatch):
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    labels = np.random.default_rng(2).integers(0, 2, size=(_SLICE + 1, make().n), dtype=np.int8) * 2 - 1
+    for exact, packs in [(limit, False), (limit + 1, True)]:
+        monkeypatch.setattr(graphs, "_FLOAT32_EXACT", exact)
+        g = make()
+        assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
+        assert (g._pack > 0) == packs
+
+
 def test_bad_label_in_a_later_slice_is_rejected(k3):
     labels = np.ones((3 * _SLICE, 3), dtype=np.int8)
     labels[2 * _SLICE + 5, 1] = 0
