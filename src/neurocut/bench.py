@@ -75,6 +75,8 @@ class ExperimentConfig:
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
         for path in self.graph_files:
+            if not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"graph file {path!r} must be a path")
             if "," in str(path):  # config files and metadata.txt split lists on commas
                 raise ValueError(f"graph file {str(path)!r} holds a comma, which a config list cannot")
         if not self.methods:
@@ -93,6 +95,8 @@ class ExperimentConfig:
             _whole(n, "er_n item", least=1)
         for p in self.er_p:
             _check_probability(p)
+        if not isinstance(self.circuit, CircuitConfig):  # a dict fails every job with AttributeError
+            raise ValueError(f"circuit = {self.circuit!r} must be a CircuitConfig")
         if not isinstance(self.custom_grid, bool):  # "false" is truthy
             raise ValueError(f"custom_grid = {self.custom_grid!r} must be a bool")
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):

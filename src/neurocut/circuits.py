@@ -251,13 +251,19 @@ def trajectory_from_sampler(graph: Graph, sampler, total_samples: int, method: s
                             seed: int, graph_id: str = "") -> CutTrajectory:
     """Drive any batch sampler of ±1 label rows through the checkpoint schedule.
 
-    sampler(b) must return a (b, n) array of labels. Samples are scored in
-    batches of at most _BATCH rows, and none beyond the last power of two is
-    drawn.
+    sampler(b) must return a (b, n) array of labels; a batch of any other
+    length raises ValueError, since its best cut would not be the best of b
+    samples. Samples are scored in batches of at most _BATCH rows, and none
+    beyond the last power of two is drawn.
     """
     def best_of(count):
-        return max(int(cut_values(graph, sampler(min(_BATCH, count - done))).max())
-                   for done in range(0, count, _BATCH))
+        return max(best_in_batch(min(_BATCH, count - done)) for done in range(0, count, _BATCH))
+
+    def best_in_batch(b):
+        labels = sampler(b)
+        if len(labels) != b:
+            raise ValueError(f"{method} sampler returned {len(labels)} rows for a batch of {b}")
+        return int(cut_values(graph, labels).max())
 
     return checkpoint_trajectory(best_of, total_samples, method, seed, graph_id)
 

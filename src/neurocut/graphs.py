@@ -10,7 +10,7 @@ from .devices import _check_probability, _whole
 
 # Label rows per scoring slice in cut_values.
 _SLICE = 256
-# Vertices per row block of the upper-triangle walk in _score_rows.
+# Vertices per column block of U in _walk.
 _BLOCK = 128
 # float32 holds every integer of magnitude up to 2^24 exactly (see cut_values).
 _FLOAT32_EXACT = 1 << 24
@@ -74,13 +74,13 @@ class Graph:
         return self._adjacency
 
     def _scoring_adjacency(self) -> np.ndarray:
-        """U, the strict upper triangle of the adjacency, that _score_rows multiplies by.
+        """U, the strict upper triangle of the adjacency, that _walk multiplies by.
 
         float32, built on first use, cached on the graph and read-only; every
         block product of the scorer is a view of it. Next to it the graph
-        caches _pack, the factor c by which _score_rows packs two label rows
-        into one, or 0 where it scores one row per product row. A graph past
-        the exact range of cut_values raises ValueError before U is allocated.
+        caches _pack, the factor c by which _walk packs two label rows into
+        one, or 0 where it scores one row per product row. A graph past the
+        exact range of cut_values raises ValueError before U is allocated.
         """
         if self._upper is None:
             if min(self.m, _BLOCK * (self.n - 1)) >= _FLOAT32_EXACT:
@@ -132,27 +132,27 @@ def cut_values(g: Graph, labels) -> np.ndarray:
 
     For a ±1 row x, x^T A x = 2m - 4 cut(x), and x^T A x = 2 x^T U x with U
     the strict upper triangle of the adjacency, so each row scores as
-    (m - h) / 2 with h = x^T U x. The scores are exact: every float32 sum the
-    scorer forms is an integer of magnitude below 2^24, which float32 holds
-    exactly, so no summation order (a threaded or blocked GEMM included) can
-    round it.
+    (m - h) / 2 with h = x^T U x = sum_j s_j x_j, where s_j = x^T U[:, j]
+    and |s_j| <= d_j, column j's count of ones (vertex j's lower-numbered
+    neighbours). The scores are exact: every float32 sum the scorer forms is
+    an integer of magnitude below 2^24, which float32 holds exactly, so no
+    summation order (a threaded or blocked GEMM included) can round it.
 
-    A graph of more than _BLOCK vertices packs two rows into one float32
-    product row (see _score_rows): y = x_a + c x_b, where d is U's largest
-    column count (the most lower-numbered neighbours of any vertex) and c is
-    the smallest power of two above 2d. An entry of y U is s_a + c s_b with
-    |s_a|, |s_b| <= d, and each of its partial sums is an integer of
-    magnitude at most d (1 + c). Adding M = 1.5 2^23 c moves the entry to
-    where float32's spacing is c, so it rounds to M + c s_b, since
-    |s_a| < c / 2; subtracting M leaves c s_b, and the rest is s_a. Each
-    half's h is then a row sum of s_j x_j, whose partial sums are at most m.
-    Where d (1 + c) or m reaches 2^24, and for graphs of at most _BLOCK
-    vertices, where packing does not pay, each row takes a product row of
-    its own over row blocks of U instead; there every partial sum is at
-    most min(m, _BLOCK (n - 1)), and the block sums add in int64.
-    Past that bound (m >= 2^24 and n > 2^24 / _BLOCK, where U alone would
-    take over 64 GB) scoring raises ValueError, as does any entry other than
-    +1 or -1.
+    U is walked by column blocks J of _BLOCK vertices (see _walk). With one
+    label row per product row, the partial sums of s_j are at most d_j and
+    those of J's row sum of s_j x_j at most sum_{j in J} d_j, which is at
+    most min(m, _BLOCK (n - 1)); the block sums add in int64. A graph of
+    more than _BLOCK vertices packs two rows into one product row instead,
+    y = x_a + c x_b, where d is the largest d_j and c the smallest power of
+    two above 2d. An entry of y U is s_a + c s_b with each partial sum at
+    most d (1 + c). Adding M = 1.5 2^23 c moves it to where float32's
+    spacing is c, so it rounds to M + c s_b, since |s_a| < c / 2;
+    subtracting M leaves c s_b, and the rest is s_a. Each half's h is then a
+    row sum of s_j x_j, whose partial sums are at most m. Where d (1 + c) or
+    m reaches 2^24 the graph keeps one row per product row. Past
+    min(m, _BLOCK (n - 1)) >= 2^24 (m >= 2^24 and n > 2^24 / _BLOCK, where
+    U alone would take over 64 GB) scoring raises ValueError, as do a bool,
+    complex, object or string label array and any entry other than +1 or -1.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -165,56 +165,47 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
 
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
-    Rows are checked and scored _SLICE at a time, so the float copy and its
-    products are slice-sized whatever the batch.
-
-    Packed (g._pack = c > 0): the slice's first half a and second half b
-    pair row for row, y = X_a + c X_b, and a slice of odd length leaves its
-    last row of a without a partner (a zero row of b). U is walked by column
-    blocks J = [lo, hi) of _BLOCK vertices, Z[:, J] = Y[:, :hi] @ U[:hi, J],
-    since U is zero below the diagonal: about n^2 / 2 + n _BLOCK / 2
-    multiply-adds per product row, so a quarter of X @ A's per label row.
-    Q = (Z + M) - M is c S_b (see cut_values), Z - Q is S_a, and h is
-    rowsum(S_a * X_a) for a and rowsum((Q / c) * X_b) for b.
-
-    Unpacked (c = 0): for each row block I = [lo, hi), h gains
-    rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]); columns before lo add
-    nothing, and the walk costs about n^2 / 2 + n _BLOCK / 2 multiply-adds
-    per label row. A graph of at most _BLOCK vertices takes one product, as
-    many multiply-adds as X @ A.
-
-    The arithmetic is exact (see cut_values), so neither the slicing, the
-    pairing nor the blocking can change a score.
+    The dtype is checked once; rows are checked and scored _SLICE at a time,
+    so the float copy and its products are slice-sized whatever the batch,
+    and the arithmetic is exact (see cut_values), so the slicing cannot
+    change a score.
     """
+    if v.dtype.kind not in "iuf":  # a cast would read True as +1 and drop imaginary parts
+        raise ValueError(f"labels must be +1 or -1, not of dtype {v.dtype}")
     out = np.zeros(v.shape[0], dtype=np.int64)
     u = g._scoring_adjacency()
     for start in range(0, len(v), _SLICE):
         rows = v[start:start + _SLICE]
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
-        x = rows.astype(np.float32)
-        if g._pack:
-            h = _packed_sums(x, u, g._pack)
-        else:
-            h = sum(_block_sum(x, u, lo).astype(np.int64) for lo in range(0, g.n, _BLOCK))
-        out[start:start + len(rows)] = (g.m - h) // 2
+        out[start:start + len(rows)] = (g.m - _walk(rows.astype(np.float32), u, g._pack)) // 2
     return out
 
 
-def _block_sum(x: np.ndarray, u: np.ndarray, lo: int) -> np.ndarray:
-    """rowsum((X[:, I] @ U[I, lo:]) * X[:, lo:]) for the row block I = [lo, lo + _BLOCK)."""
-    hi = lo + _BLOCK
-    return np.einsum("bi,bi->b", x[:, lo:hi] @ u[lo:hi, lo:], x[:, lo:])
+def _walk(x: np.ndarray, u: np.ndarray, c: int) -> np.ndarray:
+    """h = x^T U x for every row of x, U walked by column blocks J = [lo, hi).
 
-
-def _packed_sums(x: np.ndarray, u: np.ndarray, c: int) -> np.ndarray:
-    """h = x^T U x for every row of x, two rows per product row packed by c (see _score_rows)."""
+    Z[:, J] = Y[:, :hi] @ U[:hi, J], since U is zero below the diagonal:
+    about n^2 / 2 + n _BLOCK / 2 multiply-adds per product row, and one
+    product for at most _BLOCK vertices. With c = 0, Y = X and h adds each
+    block's rowsum(Z[:, J] * X[:, J]) in int64. With c > 0, the first half a
+    of x and the second half b pair row for row, Y = X_a + c X_b, and an odd
+    length leaves a's last row without a partner; Q = (Z + M) - M is c S_b
+    (see cut_values), Z - Q is S_a, and h is rowsum(S_a * X_a) for a and
+    rowsum((Q / c) * X_b) for b.
+    """
+    if not c:
+        h = 0
+        for lo in range(0, len(u), _BLOCK):
+            hi = lo + _BLOCK
+            h += np.einsum("bi,bi->b", x[:, :hi] @ u[:hi, lo:hi], x[:, lo:hi]).astype(np.int64)
+        return h
     half = (len(x) + 1) // 2
     a, b = x[:half], x[half:]
     y = a.copy()
     y[:len(b)] += c * b
     z = np.empty_like(y)
-    for lo in range(0, u.shape[0], _BLOCK):
+    for lo in range(0, len(u), _BLOCK):
         hi = lo + _BLOCK
         np.matmul(y[:, :hi], u[:hi, lo:hi], out=z[:, lo:hi])
     big = np.float32(1.5 * 2 ** 23 * c)

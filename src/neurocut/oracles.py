@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .devices import _whole
 from .graphs import Graph, trevisan_matrix
 
 ENUM_LIMIT = 26
@@ -88,8 +89,11 @@ def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -
     Each row draws one standard normal g in R^r and labels vertex i by the
     sign of vectors[i] . g (ties go to -1). The Gaussians are one draw;
     their products are signed _ROUND_ROWS rows at a time straight into the
-    int8 result, so no (count, n) float array is made.
+    int8 result, so no (count, n) float array is made. A count that is not
+    a non-negative integer raises ValueError; a count of 0 gives an empty
+    batch.
     """
+    count = _whole(count, "count", least=0)
     w = np.asarray(vectors, dtype=float)
     if w.ndim != 2:
         raise ValueError("vectors must be a 2-d array")

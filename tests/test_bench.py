@@ -246,6 +246,23 @@ def test_validate_rejects_a_graph_file_with_a_comma():
         ExperimentConfig(er_n=(), er_p=(), graph_files=("data/g.mtx", "data/a,b.mtx"))
 
 
+@pytest.mark.parametrize("overrides, problem", [
+    # a dict ran until run_experiment, which raised AttributeError in every job
+    (dict(circuit={"alpha": 0.1}), "circuit = {'alpha': 0.1} must be a CircuitConfig"),
+    # 5 raised TypeError from Path(5)
+    (dict(graph_files=(5,)), "graph file 5 must be a path"),
+    (dict(graph_files=("g.mtx", None)), "graph file None must be a path"),
+], ids=["circuit-dict", "graph-file-int", "graph-file-none"])
+def test_validate_rejects_a_circuit_or_graph_file_of_the_wrong_type(overrides, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        ExperimentConfig(er_n=(), er_p=(), **overrides)
+
+
+def test_validate_accepts_path_objects_as_graph_files():
+    cfg = ExperimentConfig(er_n=(), er_p=(), graph_files=(Path("data/g.mtx"),))
+    assert _config_metadata(cfg)["config.graph_files"] == "data/g.mtx"
+
+
 def test_parse_config_splits_graph_files_on_commas(tmp_path):
     p = tmp_path / "files.cfg"
     p.write_text("er_n =\ner_p =\ngraph_files = data/a.mtx, b.mtx,c.txt\n", encoding="utf-8")

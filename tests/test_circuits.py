@@ -481,6 +481,20 @@ def test_trajectory_from_sampler_draw_budget(k3):
     assert len(traj.wall_times) == 7
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["over-filling", "under-filling"])
+def test_trajectory_from_sampler_rejects_a_batch_of_the_wrong_length(k3, extra):
+    # b + 1 rows were scored whole, so the trajectory kept the best of more
+    # samples than it reported; b - 1 rows undercounted the same way
+    # (checkpoints 1, 2 and 4 ask for batches of 1, 1 and 2)
+    def sampler(b):
+        labels = np.ones((b + extra if b > 1 else b, 3), dtype=np.int8)
+        labels[-1, 0] = -1  # the only row that cuts anything
+        return labels
+
+    with pytest.raises(ValueError, match=f"bad sampler returned {2 + extra} rows for a batch of 2"):
+        trajectory_from_sampler(k3, sampler, 4, "bad", 0)
+
+
 def test_run_trajectory_random_k3(k3):
     traj = run_trajectory("random", k3, 2 ** 10, seed=123)
     assert traj.checkpoints[-1][1] == 2

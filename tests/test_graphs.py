@@ -343,6 +343,18 @@ def test_cut_scorers_reject_non_pm_one_labels(graph, row):
         cut_values(graph, np.stack([row, row]))
 
 
+@pytest.mark.parametrize("row", [np.ones(3, dtype=bool), np.array([1, -1, 1], dtype=complex),
+                                 np.array([1, -1, 1], dtype=object), np.array(["1", "-1", "1"])],
+                         ids=["all-true", "complex", "object", "text"])
+def test_cut_scorers_reject_label_dtypes_a_cast_would_misread(k3, row):
+    # all-True rows scored as all +1 (cut 0), and complex rows lost their
+    # imaginary part with a ComplexWarning; the dtype is refused before any slice
+    with pytest.raises(ValueError, match=rf"\+1 or -1, not of dtype {row.dtype}"):
+        cut_value(k3, row)
+    with pytest.raises(ValueError, match=rf"\+1 or -1, not of dtype {row.dtype}"):
+        cut_values(k3, np.stack([row, row]))
+
+
 @given(st.integers(2, 12), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
 @settings(max_examples=60, deadline=None)
 def test_cut_flip_symmetry(n, gseed, cseed):

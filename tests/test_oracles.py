@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -172,6 +173,20 @@ def test_sliced_rounds_equal_the_whole_batch_formula(count):
 def test_rounds_rejects_non_matrix():
     with pytest.raises(ValueError):
         reference_hyperplane_rounds(np.ones(3), 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("count, problem", [(2.5, "count = 2.5 must be an integer"),
+                                            (-1, "count = -1 must be >= 0"),
+                                            (True, "count = True must be an integer")])
+def test_rounds_reject_a_count_that_is_not_a_non_negative_integer(count, problem):
+    # numpy raised TypeError for 2.5 and "negative dimensions" for -1
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        reference_hyperplane_rounds(np.ones((3, 2)), count, np.random.default_rng(0))
+
+
+def test_rounds_of_count_zero_are_an_empty_batch():
+    rounds = reference_hyperplane_rounds(np.ones((3, 2)), 0, np.random.default_rng(0))
+    assert rounds.dtype == np.int8 and rounds.shape == (0, 3)
 
 
 def test_rounds_build_int8_labels_without_a_wide_copy():
