@@ -21,7 +21,7 @@ import numpy as np
 from .circuits import CircuitConfig, run_trajectory
 from .devices import _check_probability, _whole
 from .graphs import generate_erdos_renyi, load_graph
-from .sdp import solve_gw_sdp
+from .sdp import SolverConfig, solve_gw_sdp
 from .seeding import RNG_ALGORITHM, derive_seed
 
 CSV_HEADER = "graph_id,n,p,method,seed,samples,best_cut,solver_cut,ratio"
@@ -72,8 +72,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("er_n", "er_p", "graph_files", "methods"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):  # a str would be read character by character
+                what = "the string " if isinstance(value, str) else ""
+                raise ValueError(f"{name} must be a sequence, not {what}{value!r}")
         for path in self.graph_files:
             if not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"graph file {path!r} must be a path")
@@ -194,7 +196,7 @@ def _run_graph_job(args) -> tuple:
     try:
         g, p = _materialize(cfg, source)
         sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
-        solution = solve_gw_sdp(g, cfg.circuit.rank, cfg.circuit.solver_config(sdp_seed))
+        solution = solve_gw_sdp(g, cfg.circuit.rank, SolverConfig(seed=sdp_seed))
         meta[f"job.{graph_id}.sdp_seed"] = str(sdp_seed)
         meta[f"job.{graph_id}.sdp_objective"] = f"{solution.objective:.6f}"
         meta[f"job.{graph_id}.sdp_grad_norm"] = f"{solution.grad_norm:.3e}"

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .devices import DevicePool, _real, _whole
+from .devices import DevicePool, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
 from .lif import LifPopulation, _check_leak
 from .oracles import reference_hyperplane_rounds
@@ -37,8 +37,9 @@ METHODS = ("gw", "trevisan", "solver-rounding", "random")
 
 @dataclass(frozen=True)
 class CircuitConfig:
-    """Circuit constants shared by both circuits and the benchmark harness.
+    """The circuits' constants and the relaxation's rank, shared with the harness.
 
+    The relaxation's stopping rule is SolverConfig's, at its defaults.
     Out-of-range, non-integer and non-real values raise ValueError on
     construction, so a bad config fails before any job runs rather than in
     every job that uses it.
@@ -49,22 +50,12 @@ class CircuitConfig:
     eta0: float = 5e-3
     tau: float = 1e5
     rank: int = 4
-    sdp_tol: float = 1e-6
-    sdp_max_iter: int | None = None
 
     def __post_init__(self):
         _check_leak(self.alpha)
         _whole(self.epoch_steps, "epoch_steps", least=1)
         _check_rates(self.eta0, self.tau)
         _whole(self.rank, "rank", least=2)
-        if not _real(self.sdp_tol, "sdp_tol") >= 0:  # written so that NaN fails it
-            raise ValueError(f"sdp_tol = {self.sdp_tol} must be >= 0")
-        if self.sdp_max_iter is not None:
-            _whole(self.sdp_max_iter, "sdp_max_iter", least=0)
-
-    def solver_config(self, seed: int) -> SolverConfig:
-        """The relaxation solver's settings under this config, started from seed."""
-        return SolverConfig(tol=self.sdp_tol, max_iter=self.sdp_max_iter, seed=seed)
 
 
 class GwCircuit:
@@ -327,7 +318,7 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in ("gw", "solver-rounding") and solution is None:
-        solution = solve_gw_sdp(graph, config.rank, config.solver_config(derive_seed(seed, "sdp")))
+        solution = solve_gw_sdp(graph, config.rank, SolverConfig(seed=derive_seed(seed, "sdp")))
     if method == "random":
         rng = np.random.default_rng(derive_seed(seed, "random-cuts"))
         sampler = partial(_random_labels, rng, n=graph.n)

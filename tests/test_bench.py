@@ -155,16 +155,6 @@ def test_failed_baseline_fails_the_whole_job(monkeypatch):
     assert res.metadata[f"failure.{gid}"] == "rounding broke"
 
 
-def test_negative_solver_cap_fails_each_job(tmp_path):
-    # rejected when the config is built, so no job starts with it
-    with pytest.raises(ValueError, match="sdp_max_iter = -1 must be >= 0"):
-        tiny_config(circuit=CircuitConfig(sdp_max_iter=-1))
-    p = tmp_path / "cap.cfg"
-    p.write_text("samples = 8\nsdp_max_iter = -1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2: sdp_max_iter = -1 must be >= 0"):
-        parse_config_file(p)
-
-
 def test_validate_rejects_bad_config():
     # the config checks itself when it is built; there is no validate() to forget
     for overrides in (dict(methods=("simulated-annealing",)), dict(samples=0), dict(jobs=0)):
@@ -238,6 +228,22 @@ def test_validate_rejects_a_bare_string_for_a_sequence(overrides):
     (name, value), = overrides.items()
     with pytest.raises(ValueError, match=f"{name} must be a sequence, not the string '{value}'"):
         tiny_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [dict(er_n=20), dict(er_n=None), dict(er_p=5),
+                                       dict(graph_files=None), dict(methods=None)],
+                         ids=["er_n-int", "er_n-none", "er_p-int", "graph_files-none",
+                              "methods-none"])
+def test_validate_rejects_a_list_field_that_is_not_a_sequence(overrides):
+    # each raised TypeError from iterating it; methods=None read as "must not be empty"
+    (name, value), = overrides.items()
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, not {value!r}$"):
+        tiny_config(**overrides)
+
+
+def test_validate_accepts_lists_for_list_fields():
+    cfg = tiny_config(er_n=[10], er_p=[0.5], graph_files=[], methods=["random"])
+    assert _config_metadata(cfg)["config.methods"] == "random"
 
 
 def test_validate_rejects_a_graph_file_with_a_comma():
@@ -366,7 +372,6 @@ def test_parse_config_file_full(tmp_path):
         "base_seed = 99\n"
         "eta0 = 0.004\n"
         "rank = 6\n"
-        "sdp_max_iter = none\n"
         "out_dir = results\n",
         encoding="utf-8")
     cfg = parse_config_file(p)
@@ -378,7 +383,6 @@ def test_parse_config_file_full(tmp_path):
     assert cfg.base_seed == 99
     assert cfg.circuit.eta0 == 0.004
     assert cfg.circuit.rank == 6
-    assert cfg.circuit.sdp_max_iter is None
     assert cfg.circuit.tau == 4000.0  # desk preset schedule survives overrides
     assert cfg.out_dir == "results"
 
@@ -411,7 +415,7 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     p.write_text("custom_grid = maybe\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
-    # 'none' is only a value of optional fields such as sdp_max_iter
+    # 'none' is no value of a field that cannot be None
     p.write_text("samples = 64\nepoch_steps = none\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         parse_config_file(p)
@@ -427,16 +431,18 @@ _EVERY_KEY = {
     "samples": 4096, "base_seed": 99, "out_dir": "results", "jobs": 2,
     "custom_grid": True,
     "alpha": 0.08, "epoch_steps": 60, "eta0": 0.004, "tau": 3000.0,
-    "rank": 3, "sdp_tol": 1e-05, "sdp_max_iter": 1500,
+    "rank": 3,
 }
 
 
 @pytest.mark.parametrize("key", ["dt", "capacitance", "threshold",
-                                 "gw_weight_scale", "trevisan_weight_scale", "self_test"])
+                                 "gw_weight_scale", "trevisan_weight_scale", "self_test",
+                                 "sdp_tol", "sdp_max_iter"])
 def test_removed_circuit_keys_are_unknown(tmp_path, key):
     # positive drive scales and a zero threshold cannot move a sign read,
     # so the circuit keys are no longer settable; exact optima come from
-    # `neurocut exact`, not from a self_test key
+    # `neurocut exact`, not from a self_test key; the relaxation's stopping
+    # rule is SolverConfig's, at its defaults
     p = tmp_path / "old.cfg"
     p.write_text(f"samples = 64\n{key} = 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
@@ -487,8 +493,7 @@ def test_desk_run_metadata_parses_back_to_its_config(tmp_path):
         "config.er_n", "config.er_p", "config.er_graphs_per_cell", "config.graph_files",
         "config.methods", "config.samples", "config.base_seed", "config.circuit.alpha",
         "config.circuit.epoch_steps", "config.circuit.eta0", "config.circuit.tau",
-        "config.circuit.rank", "config.circuit.sdp_tol", "config.circuit.sdp_max_iter",
-        "config.out_dir", "config.jobs", "config.custom_grid"]
+        "config.circuit.rank", "config.out_dir", "config.jobs", "config.custom_grid"]
     rebuilt = _reparsed(written, tmp_path)
     assert rebuilt == cfg
     assert _config_lines(_config_metadata(rebuilt)) == written

@@ -2,26 +2,31 @@
 
 Its traced run wraps every callable in perfbench/tracer.py TARGETS, the
 desk workload's check hooks rebind four module attributes of the harness, and
-its workloads build SolverConfig objects and read SdpSolution fields. A
-renamed or deleted name would otherwise only show up when the benchmark runs.
+its workloads and checks read package names, method names and config fields,
+build SolverConfig objects and read SdpSolution fields. A renamed or deleted
+name would otherwise only show up when the benchmark runs.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 import types
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import neurocut
 import neurocut.bench as bench
 import neurocut.circuits as circuits
-from neurocut import (BENCH_METHODS, ExperimentConfig, LifPopulation, OjaState, SdpSolution,
-                      SolverConfig, TrevisanCircuit, generate_erdos_renyi, run_experiment)
+from neurocut import (BENCH_METHODS, CircuitConfig, ExperimentConfig, LifPopulation, OjaState,
+                      SdpSolution, SolverConfig, TrevisanCircuit, generate_erdos_renyi,
+                      run_experiment)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOAD = PERFBENCH / "workload.py"
+CHECKS = PERFBENCH / "checks.py"
 
 # (module, attribute) pairs the desk hooks rebind
 DESK_HOOKS = ((bench, "solve_gw_sdp"), (bench, "run_trajectory"),
@@ -89,3 +94,58 @@ def test_workload_solver_keywords_are_fields():
 
 def test_solution_keeps_fields_the_benchmark_reads():
     assert {"vectors", "objective", "converged", "iterations"} <= {f.name for f in fields(SdpSolution)}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _named(tree, kind, name):
+    node, = [n for n in ast.walk(tree) if isinstance(n, kind) and n.name == name]
+    return node
+
+
+def test_workload_names_exist_in_the_package():
+    workload = _tree(WORKLOAD)
+    # nc.X and nc.X.Y, as the workloads and checks read them off the package
+    reads = set()
+    for tree in (workload, _tree(CHECKS)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "nc":
+                reads.add((node.attr,))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and isinstance(node.value.value, ast.Name) and node.value.value.id == "nc":
+                reads.add((node.value.attr, node.attr))
+    assert ("run_trajectory",) in reads and ("ExperimentConfig", "full_scale") in reads
+    for path in reads:
+        owner = neurocut
+        for name in path:
+            assert hasattr(owner, name), "nc." + ".".join(path)
+            owner = getattr(owner, name)
+
+    # the dense workload's methods and its run_trajectory call
+    dense = _named(workload, ast.ClassDef, "Dense")
+    methods, = [ast.literal_eval(n.value) for n in dense.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "methods" for t in n.targets)]
+    assert set(methods) <= set(circuits.METHODS)
+    call, = [n for n in ast.walk(dense) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "run_trajectory"]
+    assert {kw.arg for kw in call.keywords} == {"solution", "graph_id"}
+    inspect.signature(circuits.run_trajectory).bind(*call.args, **{kw.arg: kw.value
+                                                                   for kw in call.keywords})
+    # the circuit fields it reads off full_scale().circuit
+    fields_read = {n.attr for n in ast.walk(dense) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "circuit"}
+    assert "rank" in fields_read
+    assert fields_read <= {f.name for f in fields(CircuitConfig)}
+
+    # the desk method names the summary maps, and every lif-* name the file holds
+    summary = _named(workload, ast.FunctionDef, "_summary")
+    desk, = [v for n in ast.walk(summary) if isinstance(n, ast.Dict)
+             for k, v in zip(n.keys, n.values) if getattr(k, "value", None) == "desk"]
+    desk_names = {ast.literal_eval(k) for k in desk.keys}
+    lif_names = {n.value for n in ast.walk(workload) if isinstance(n, ast.Constant)
+                 and isinstance(n.value, str) and n.value.startswith("lif-")}
+    assert "solver-rounding" in desk_names and lif_names
+    assert desk_names | lif_names <= set(BENCH_METHODS)

@@ -170,11 +170,10 @@ def test_gw_validates_solution_size(k3, c4):
 @pytest.mark.parametrize("field, value", [
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
     ("epoch_steps", 0), ("eta0", 0.0), ("eta0", float("nan")), ("tau", -1.0),
-    ("rank", 1), ("sdp_tol", -1e-9), ("sdp_tol", float("nan")), ("sdp_max_iter", -1),
-    *[(f, v) for f in ("epoch_steps", "rank", "sdp_max_iter") for v in (2.5, 2.0, "3", None, True)
-      if (f, v) != ("sdp_max_iter", None)],
+    ("rank", 1),
+    *[(f, v) for f in ("epoch_steps", "rank") for v in (2.5, 2.0, "3", None, True)],
     # values that are not real numbers raised TypeError from the range comparison
-    ("alpha", "0.05"), ("eta0", None), ("tau", "1e5"), ("sdp_tol", "1e-6"), ("alpha", True),
+    ("alpha", "0.05"), ("eta0", None), ("tau", "1e5"), ("alpha", True),
 ])
 def test_circuit_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} = "):
@@ -182,9 +181,8 @@ def test_circuit_config_rejects_out_of_range(field, value):
 
 
 def test_circuit_config_accepts_boundary_values():
-    CircuitConfig(epoch_steps=1, rank=2, sdp_tol=0.0, sdp_max_iter=0)
-    CircuitConfig(epoch_steps=np.int64(1), rank=np.int64(2), sdp_max_iter=np.int64(0))
-    assert CircuitConfig(sdp_max_iter=None).sdp_max_iter is None
+    CircuitConfig(epoch_steps=1, rank=2)
+    CircuitConfig(epoch_steps=np.int64(1), rank=np.int64(2))
 
 
 # --- Trevisan circuit -------------------------------------------------------
@@ -540,11 +538,11 @@ def test_run_trajectory_solver_rounding_is_the_best_direct_rounding():
 def test_run_trajectory_solver_rounding_solves_like_gw():
     # without a solution, the relaxation starts from derive_seed(seed, "sdp"), as for gw
     g = generate_erdos_renyi(30, 0.3, 6)
-    cfg = CircuitConfig(rank=3, sdp_tol=1e-5)
-    sol = solve_gw_sdp(g, 3, SolverConfig(tol=1e-5, seed=derive_seed(8, "sdp")))
+    cfg = CircuitConfig(rank=3)
+    sol = solve_gw_sdp(g, 3, SolverConfig(seed=derive_seed(8, "sdp")))
     traj = run_trajectory("solver-rounding", g, 2 ** 10, seed=8, config=cfg)
     assert traj.checkpoints == _best_roundings(g, sol.vectors, 2 ** 10, seed=8)
-    other = solve_gw_sdp(g, 3, SolverConfig(tol=1e-5, seed=derive_seed(9, "sdp")))
+    other = solve_gw_sdp(g, 3, SolverConfig(seed=derive_seed(9, "sdp")))
     assert traj.checkpoints != _best_roundings(g, other.vectors, 2 ** 10, seed=8)
 
 

@@ -262,7 +262,7 @@ def test_bench_bad_config_key_exits_1(tmp_path, capsys):
 
 # --- config flags: one schema with the config files --------------------------
 
-# (command, flag, its dataclass, its field, the config key that sets the field)
+# (command, flag, its dataclass, its field, the config key that sets the field or None)
 _CONFIG_FLAGS = [
     ("run", "--rank", CircuitConfig, "rank", "rank"),
     ("run", "--alpha", CircuitConfig, "alpha", "alpha"),
@@ -270,8 +270,8 @@ _CONFIG_FLAGS = [
     ("run", "--eta0", CircuitConfig, "eta0", "eta0"),
     ("run", "--tau", CircuitConfig, "tau", "tau"),
     ("solve-sdp", "--rank", CircuitConfig, "rank", "rank"),
-    ("solve-sdp", "--tol", SolverConfig, "tol", "sdp_tol"),
-    ("solve-sdp", "--max-iter", SolverConfig, "max_iter", "sdp_max_iter"),
+    ("solve-sdp", "--tol", SolverConfig, "tol", None),
+    ("solve-sdp", "--max-iter", SolverConfig, "max_iter", None),
     ("solve-sdp", "--seed", SolverConfig, "seed", None),
 ]
 
@@ -297,12 +297,14 @@ def test_config_flag_defaults_to_its_dataclass_default(command, flag, cls, name,
     ("solve-sdp", "--max-iter", "", None),
 ])
 def test_config_flag_parses_text_as_its_config_key(command, flag, text, want, tmp_path):
-    (_, _, _, name, key), = [f for f in _CONFIG_FLAGS if f[:2] == (command, flag)]
-    p = tmp_path / "key.cfg"
-    p.write_text(f"{key} = {text}\n", encoding="utf-8")
-    from_file = getattr(parse_config_file(p).circuit, key)
+    (_, _, cls, name, key), = [f for f in _CONFIG_FLAGS if f[:2] == (command, flag)]
     from_flag = getattr(_parse(command, flag, text), name)
-    assert from_flag == from_file == want and type(from_flag) is type(want)
+    assert from_flag == want and type(from_flag) is type(want)
+    assert getattr(cls(**{name: from_flag}), name) == want
+    if key is not None:  # SolverConfig's fields are flags only, not config keys
+        p = tmp_path / "key.cfg"
+        p.write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert getattr(parse_config_file(p).circuit, key) == from_flag
 
 
 def test_solve_sdp_max_iter_none_runs_uncapped(k3_file, capsys):

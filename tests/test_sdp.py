@@ -230,6 +230,13 @@ def test_fractional_max_iter_rejected(max_iter):
         SolverConfig(max_iter=max_iter)
 
 
+@pytest.mark.parametrize("field", ["tol", "max_iter", "seed"])
+def test_bool_solver_settings_rejected(field):
+    # True is an int, but a flag, not a tolerance, a cap or a seed
+    with pytest.raises(ValueError, match=f"^{field} = True must be"):
+        SolverConfig(**{field: True})
+
+
 @pytest.mark.parametrize("seed", [2.5, 2.0, "3", None])
 def test_non_integer_solver_seed_rejected(seed):
     # 2.5 and "3" raised numpy's TypeError from the solve; None drew an unseeded start
