@@ -170,14 +170,21 @@ def test_gw_validates_solution_size(k3, c4):
 @pytest.mark.parametrize("field, value", [
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
     ("epoch_steps", 0), ("eta0", 0.0), ("eta0", float("nan")), ("tau", -1.0),
-    ("rank", 1),
-    *[(f, v) for f in ("epoch_steps", "rank") for v in (2.5, 2.0, "3", None, True)],
+    ("rank", 1), ("sdp_tol", -1e-9), ("sdp_tol", float("nan")), ("sdp_max_iter", -1),
+    *[(f, v) for f in ("epoch_steps", "rank", "sdp_max_iter") for v in (2.5, 2.0, "3", None, True)
+      if (f, v) != ("sdp_max_iter", None)],
     # values that are not real numbers raised TypeError from the range comparison
-    ("alpha", "0.05"), ("eta0", None), ("tau", "1e5"), ("alpha", True),
+    ("alpha", "0.05"), ("eta0", None), ("tau", "1e5"), ("sdp_tol", "1e-6"), ("alpha", True),
 ])
 def test_circuit_config_rejects_out_of_range(field, value):
+    config = CircuitConfig
+    if field.startswith("sdp_"):
+        # the relaxation's stopping rule is no circuit field; SolverConfig owns and checks it
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            CircuitConfig(**{field: value})
+        config, field = SolverConfig, field.removeprefix("sdp_")
     with pytest.raises(ValueError, match=f"^{field} = "):
-        CircuitConfig(**{field: value})
+        config(**{field: value})
 
 
 def test_circuit_config_accepts_boundary_values():
