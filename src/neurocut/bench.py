@@ -101,7 +101,8 @@ class ExperimentConfig:
             raise ValueError(f"circuit = {self.circuit!r} must be a CircuitConfig")
         if not isinstance(self.custom_grid, bool):  # "false" is truthy
             raise ValueError(f"custom_grid = {self.custom_grid!r} must be a bool")
-        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+        # "" would write the outputs into the working directory
+        if self.out_dir is not None and (self.out_dir == "" or not isinstance(self.out_dir, (str, os.PathLike))):
             raise ValueError(f"out_dir = {self.out_dir!r} must be None or a path")
         if not self.custom_grid:
             bad_n = [n for n in self.er_n if n not in _KNOWN_N]

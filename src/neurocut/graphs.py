@@ -29,15 +29,18 @@ class Graph:
     Edges are stored as a read-only (m, 2) int64 array with each row (i, j),
     i < j, deduplicated and sorted lexicographically, so reversed and repeated
     input pairs merge and input order does not matter. n and the endpoints
-    must be integers (Python or numpy): a non-integer n, or edges of a float,
-    bool or string dtype, raise ValueError rather than being cast. Instances
-    are treated as immutable after construction and are safe to share across
+    must be integers (Python or numpy): a non-integer n, non-empty edges that
+    are not an (m, 2) array of pairs, or edges of a float, bool or string
+    dtype, raise ValueError rather than being reshaped or cast. Instances are
+    treated as immutable after construction and are safe to share across
     workers.
     """
 
     def __init__(self, n: int, edges) -> None:
         n = _whole(n, "n", least=1)
         pairs = np.asarray(edges)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):  # a reshape would pair other entries
+            raise ValueError(f"edges must be an (m, 2) array of pairs, not of shape {pairs.shape}")
         if pairs.size and pairs.dtype.kind not in "iu":
             # a cast would truncate 1.7 to 1 and read True as 1
             raise ValueError(f"edge endpoints must be integers, not {pairs.dtype}")
@@ -58,9 +61,7 @@ class Graph:
         pairs.setflags(write=False)
         self.n = n
         self.edges = pairs
-        self._adjacency: np.ndarray | None = None
-        self._upper: np.ndarray | None = None
-        self._pack = 0
+        self._scoring: tuple[np.ndarray, int] | None = None
 
     @property
     def m(self) -> int:
@@ -68,40 +69,36 @@ class Graph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (float64, zero diagonal)."""
-        if self._adjacency is None:
-            self._adjacency = self._dense(np.float64)
-        return self._adjacency
+        """Dense symmetric 0/1 adjacency matrix (float64, zero diagonal), built on each call, not cached."""
+        a = np.zeros((self.n, self.n))
+        u, v = self.edges.T
+        a[u, v] = a[v, u] = 1
+        return a
 
-    def _scoring_adjacency(self) -> np.ndarray:
-        """U, the strict upper triangle of the adjacency, that _walk multiplies by.
+    def _scoring_adjacency(self) -> tuple[np.ndarray, int]:
+        """(U, c): the matrix _walk multiplies by and the factor it packs rows with.
 
-        float32, built on first use, cached on the graph and read-only; every
-        block product of the scorer is a view of it. Next to it the graph
-        caches _pack, the factor c by which _walk packs two label rows into
-        one, or 0 where it scores one row per product row. A graph past the
-        exact range of cut_values raises ValueError before U is allocated.
+        U is the strict upper triangle of the adjacency, float32 and read-only;
+        every block product of the scorer is a view of it. c is the factor by
+        which _walk packs two label rows into one, or 0 where it scores one row
+        per product row (see cut_values). The pair is built on first use and is
+        the only thing a graph caches. A graph past the exact range of
+        cut_values raises ValueError before U is allocated.
         """
-        if self._upper is None:
+        if self._scoring is None:
             if min(self.m, _BLOCK * (self.n - 1)) >= _FLOAT32_EXACT:
                 raise ValueError(f"graph with n = {self.n}, m = {self.m} is too large to score exactly")
             # d, U's largest column count, bounds |s| for s = x^T U[:, j] of a ±1 row x
             d = int(np.bincount(self.edges[:, 1], minlength=self.n).max())
             c = 1 << (2 * d).bit_length()
-            if self.n > _BLOCK and d * (1 + c) < _FLOAT32_EXACT and self.m < _FLOAT32_EXACT:
-                self._pack = c
-            self._upper = self._dense(np.float32, symmetric=False)
-        return self._upper
-
-    def _dense(self, dtype, symmetric: bool = True) -> np.ndarray:
-        # edges are stored with i < j, so (i, j) alone fills the strict upper triangle
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        a[u, v] = 1
-        if symmetric:
-            a[v, u] = 1
-        a.setflags(write=False)
-        return a
+            if not (self.n > _BLOCK and d * (1 + c) < _FLOAT32_EXACT and self.m < _FLOAT32_EXACT):
+                c = 0
+            # edges are stored with i < j, so (i, j) alone fills the strict upper triangle
+            upper = np.zeros((self.n, self.n), dtype=np.float32)
+            upper[self.edges[:, 0], self.edges[:, 1]] = 1
+            upper.setflags(write=False)
+            self._scoring = upper, c
+        return self._scoring
 
     @property
     def degrees(self) -> np.ndarray:
@@ -173,12 +170,12 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     if v.dtype.kind not in "iuf":  # a cast would read True as +1 and drop imaginary parts
         raise ValueError(f"labels must be +1 or -1, not of dtype {v.dtype}")
     out = np.zeros(v.shape[0], dtype=np.int64)
-    u = g._scoring_adjacency()
+    u, c = g._scoring_adjacency()
     for start in range(0, len(v), _SLICE):
         rows = v[start:start + _SLICE]
         if not np.all((rows == 1) | (rows == -1)):
             raise ValueError("labels must be +1 or -1")
-        out[start:start + len(rows)] = (g.m - _walk(rows.astype(np.float32), u, g._pack)) // 2
+        out[start:start + len(rows)] = (g.m - _walk(rows.astype(np.float32), u, c)) // 2
     return out
 
 
@@ -238,8 +235,9 @@ def trevisan_matrix(g: Graph) -> np.ndarray:
     """
     deg = g.degrees.astype(float)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(g.n), where=deg > 0)
-    mat = g.adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
-    mat += np.eye(g.n)
+    mat = np.eye(g.n)
+    u, v = g.edges.T
+    mat[u, v] = mat[v, u] = inv_sqrt[u] * inv_sqrt[v]
     return mat
 
 
@@ -252,9 +250,10 @@ def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
     graph is unweighted and would misread it. Edge lists carry no vertex
     count, so ids are remapped to 0..n-1 in first-appearance order; Matrix
     Market files declare the size and keep isolated vertices, and their entry
-    lines must number exactly the declared nnz. Edge-list ids start at 1, or
-    at 0 with zero_indexed. fmt='auto' picks matrix-market for a .mtx suffix
-    and edge-list otherwise.
+    lines must number exactly the declared nnz. A Matrix Market banner that is
+    not coordinate, or whose field is complex, raises ParseError naming it.
+    Edge-list ids start at 1, or at 0 with zero_indexed. fmt='auto' picks
+    matrix-market for a .mtx suffix and edge-list otherwise.
     """
     path = os.fspath(path)
     if fmt == "auto":
@@ -330,6 +329,9 @@ def _parse_matrix_market(lines) -> Graph:
                 tokens = stripped.lower().split()
                 if len(tokens) >= 3 and tokens[2] != "coordinate":
                     raise ParseError("only coordinate Matrix Market files are supported", lineno)
+                # the weight check would read "0 1" (0 + 1i) as weight 0, no edge
+                if len(tokens) >= 4 and tokens[3] == "complex":
+                    raise ParseError("complex Matrix Market files are not supported", lineno)
             continue
         header = stripped
         break

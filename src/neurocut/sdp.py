@@ -154,8 +154,9 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     cfg = config or SolverConfig()
     r = effective_rank(rank, g.n)
     rng = np.random.default_rng(cfg.seed)
-    order, bounds = _colour_classes(g.adjacency)
-    neg = g.adjacency[np.ix_(order, order)]
+    a = g.adjacency
+    order, bounds = _colour_classes(a)
+    neg = a[np.ix_(order, order)]
     np.negative(neg, out=neg)
     w = normalize_rows(rng.standard_normal((g.n, r)))[order]
     z = np.empty_like(w)

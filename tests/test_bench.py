@@ -198,8 +198,10 @@ def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
     # Path(5) only after every job had run
     (dict(custom_grid="false"), "custom_grid = 'false' must be a bool"),
     (dict(out_dir=5), "out_dir = 5 must be None or a path"),
+    # "" wrote the output files into the working directory
+    (dict(out_dir=""), "out_dir = '' must be None or a path"),
 ], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs",
-        "er_n-bool", "samples-bool", "custom_grid-text", "out_dir-int"])
+        "er_n-bool", "samples-bool", "custom_grid-text", "out_dir-int", "out_dir-empty"])
 def test_validate_rejects_non_integer_sizes(overrides, problem):
     # caught before any job runs: each job failed on it, or the process pool raised TypeError
     with pytest.raises(ValueError, match=re.escape(problem)):
@@ -422,6 +424,13 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     p.write_text("rank = none\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
+
+
+def test_empty_out_dir_line_means_no_output(tmp_path):
+    # ExperimentConfig(out_dir="") raises, but an empty config value reads as None
+    p = tmp_path / "c.cfg"
+    p.write_text("out_dir = results\nout_dir =\n", encoding="utf-8")
+    assert parse_config_file(p).out_dir is None
 
 
 # a non-default value for every config key; a new config field needs one here

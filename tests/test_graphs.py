@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_rejects_non_integer_endpoints(edges):
     # a cast would read 1.7 as 1, True as 1 and "2" as 2
     with pytest.raises(ValueError, match="edge endpoints must be integers"):
         Graph(3, edges)
+
+
+@pytest.mark.parametrize("edges, shape", [
+    # a reshape read these rows as the edges (0, 1), (0, 4) and (2, 3)
+    ([[0, 1, 2], [3, 4, 0]], (2, 3)),
+    ([0, 1, 2, 3], (4,)),
+    (np.array([[[0, 1]], [[2, 3]]]), (2, 1, 2)),
+], ids=["rows-of-three", "flat", "3-d"])
+def test_rejects_edges_that_are_not_pairs(edges, shape):
+    with pytest.raises(ValueError, match=re.escape(f"(m, 2) array of pairs, not of shape {shape}")):
+        Graph(5, edges)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
@@ -200,18 +212,23 @@ def test_graphs_past_the_exact_bound_are_rejected_before_scoring(block, monkeypa
     fresh = Graph(g.n, g.edges)
     with pytest.raises(ValueError, match="too large to score exactly"):
         cut_values(fresh, labels)
-    assert fresh._upper is None
+    assert fresh._scoring is None
     monkeypatch.setattr(graphs, "_FLOAT32_EXACT", bound + 1)
     assert cut_values(fresh, labels).tolist() == gather_cut_values(g, labels).tolist()
-    assert fresh._scoring_adjacency().dtype == np.float32
+    assert fresh._scoring_adjacency()[0].dtype == np.float32
 
 
 def test_float32_adjacency_is_built_once_and_read_only(c4):
-    u = c4._scoring_adjacency()
-    assert u.dtype == np.float32 and not u.flags.writeable
+    pair = c4._scoring_adjacency()
+    u, c = pair
+    assert u.dtype == np.float32 and not u.flags.writeable and c == 0
     assert np.array_equal(u, np.triu(c4.adjacency, 1))
     cut_values(c4, np.ones((3, 4), dtype=np.int8))
-    assert c4._scoring_adjacency() is u
+    assert c4._scoring_adjacency() is pair
+    # the float64 adjacency and the Trevisan matrix are built per call, not kept
+    assert c4.adjacency is not c4.adjacency
+    trevisan_matrix(c4)
+    assert set(vars(c4)) == {"n", "edges", "_scoring"}
 
 
 @given(st.integers(1, 40), st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from([1, 3, 8]),
@@ -274,7 +291,7 @@ def test_packed_scoring_is_exact_on_complete_graphs(n, batch):
     g = generate_erdos_renyi(n, 1.0, 0)
     labels = _paired_patterns(n, batch)
     got = cut_values(g, labels)
-    assert g._pack == 1 << (2 * (n - 1)).bit_length()
+    assert g._scoring_adjacency()[1] == 1 << (2 * (n - 1)).bit_length()
     assert got.dtype == np.int64 and got.shape == (batch,)
     assert got.tolist() == gather_cut_values(g, labels).tolist()
     assert got[0] == 0 and (batch < 3 or got[2] == (n // 2) * (n - n // 2))
@@ -286,7 +303,7 @@ def test_packed_scoring_matches_gather_at_slice_boundaries(batch, p):
     g = generate_erdos_renyi(2 * _BLOCK - 11, p, 5)
     labels = np.random.default_rng(batch).integers(0, 2, size=(batch, g.n), dtype=np.int8) * 2 - 1
     got = cut_values(g, labels)
-    assert g._pack > 0
+    assert g._scoring_adjacency()[1] > 0
     assert got.tolist() == gather_cut_values(g, labels).tolist()
 
 
@@ -296,7 +313,7 @@ def test_graphs_of_at_most_one_block_score_unpacked():
         g = generate_erdos_renyi(n, 1.0, 0)
         labels = _paired_patterns(n, _SLICE)
         assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
-        assert (g._pack > 0) == packs
+        assert (g._scoring_adjacency()[1] > 0) == packs
 
 
 @pytest.mark.parametrize("make, block, limit", [
@@ -313,7 +330,7 @@ def test_a_bound_at_the_float32_limit_keeps_the_unpacked_product(make, block, li
         monkeypatch.setattr(graphs, "_FLOAT32_EXACT", exact)
         g = make()
         assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
-        assert (g._pack > 0) == packs
+        assert (g._scoring_adjacency()[1] > 0) == packs
 
 
 def test_bad_label_in_a_later_slice_is_rejected(k3):
@@ -444,6 +461,28 @@ def test_trevisan_matrix_k3_entries(k3):
     assert np.allclose(tm, np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Graph(3, []),
+    lambda: Graph(6, [(0, 1), (1, 2), (4, 5)]),  # vertex 3 has no edge
+    lambda: generate_erdos_renyi(1, 0.5, 1),
+    lambda: generate_erdos_renyi(20, 0.1, 20),
+    lambda: generate_erdos_renyi(130, 0.5, 130),
+    lambda: generate_erdos_renyi(500, 0.75, 500),
+], ids=["edgeless", "isolated-vertex", "er-1", "er-20", "er-130", "er-500"])
+def test_trevisan_matrix_matches_the_dense_formula_bit_for_bit(make):
+    # the learner's weights come from this matrix, so building it from the
+    # edge list must not move a bit against the dense product
+    g = make()
+    a = np.zeros((g.n, g.n))
+    a[g.edges[:, 0], g.edges[:, 1]] = 1.0
+    a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+    deg = a.sum(axis=1)
+    s = np.zeros(g.n)
+    s[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    want = a * s[:, None] * s[None, :] + np.eye(g.n)
+    assert trevisan_matrix(g).tobytes() == want.tobytes()
+
+
 # --- edge-list ingestion ----------------------------------------------------
 
 def test_edge_list_basic(tmp_edge_list):
@@ -521,6 +560,13 @@ def test_mtx_declares_size(tmp_mtx):
 def test_mtx_rejects_array_banner(tmp_mtx):
     path = tmp_mtx(["%%MatrixMarket matrix array real general", "3 3 9"])
     with pytest.raises(ParseError):
+        load_graph(path)
+
+
+def test_mtx_rejects_complex_banner(tmp_mtx):
+    # the weight check read 0 + 1i as weight 0 and dropped the entry
+    path = tmp_mtx(["%%MatrixMarket matrix coordinate complex general", "3 3 1", "3 2 0 1"])
+    with pytest.raises(ParseError, match="line 1: complex Matrix Market files are not supported"):
         load_graph(path)
 
 
