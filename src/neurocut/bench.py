@@ -14,6 +14,7 @@ import csv
 import os
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,7 @@ class ExperimentConfig:
                     f"ER grid values {bad_n or bad_p} are outside the preset scales; "
                     "set custom_grid=true to run them anyway")
         seen = set()
-        for gid, _ in _job_list(self):
+        for gid, _, _ in _job_list(self):
             if gid in seen:
                 raise ValueError(f"duplicate graph id {gid!r}: a repeated grid value "
                                  "or two graph files with the same file stem")
@@ -130,7 +131,7 @@ class ResultRow:
     best_cut: int
     solver_cut: int
     ratio: float | None  # best/solver at the same checkpoint; None when solver_cut == 0
-    wall_time: float     # diagnostic only, excluded from the CSV
+    wall_time: float     # seconds of its method's whole checkpoint loop; not in the CSV
 
 
 @dataclass
@@ -157,26 +158,20 @@ def _fmt(value) -> str:
 
 
 def _job_list(cfg: ExperimentConfig) -> list:
+    """(graph_id, p, build) per job in canonical order; p is None for file graphs.
+
+    build() returns the job's graph. It is a partial of a module function, so
+    it pickles into worker processes.
+    """
     jobs = []
     for n in cfg.er_n:
         for p in cfg.er_p:
             for k in range(cfg.er_graphs_per_cell):
-                gid = f"er-n{n}-p{p}-{k}"
-                jobs.append((gid, ("er", n, p, k)))
+                seed = derive_seed(cfg.base_seed, "er", n, p, k)
+                jobs.append((f"er-n{n}-p{p}-{k}", p, partial(generate_erdos_renyi, n, p, seed)))
     for path in cfg.graph_files:
-        gid = Path(path).stem
-        jobs.append((gid, ("file", str(path))))
+        jobs.append((Path(path).stem, None, partial(load_graph, str(path))))
     return jobs
-
-
-def _materialize(cfg: ExperimentConfig, source) -> tuple:
-    """Returns (graph, p) where p is the ER density or None for files."""
-    if source[0] == "er":
-        _, n, p, k = source
-        g = generate_erdos_renyi(n, p, derive_seed(cfg.base_seed, "er", n, p, k))
-        return g, p
-    g = load_graph(source[1])
-    return g, None
 
 
 def _run_graph_job(args) -> tuple:
@@ -186,7 +181,7 @@ def _run_graph_job(args) -> tuple:
     if it or the relaxation fails, the job loses every row. Any other method
     that raises loses only its own rows, and its message names it.
     """
-    cfg, graph_id, source = args
+    cfg, graph_id, p, build = args
     meta: dict = {}
 
     def trajectory(method):
@@ -195,7 +190,7 @@ def _run_graph_job(args) -> tuple:
                               solution=solution, graph_id=graph_id)
 
     try:
-        g, p = _materialize(cfg, source)
+        g = build()
         sdp_seed = derive_seed(cfg.base_seed, graph_id, "sdp")
         solution = solve_gw_sdp(g, cfg.circuit.rank, SolverConfig(seed=sdp_seed))
         meta[f"job.{graph_id}.sdp_seed"] = str(sdp_seed)
@@ -217,12 +212,12 @@ def _run_graph_job(args) -> tuple:
             failures.append((graph_id, f"{method}: {err}"))
             continue
         meta[f"job.{graph_id}.{method}.seed"] = str(traj.seed)
-        meta[f"job.{graph_id}.{method}.wall_time"] = f"{traj.wall_times[-1]:.3f}"
-        for (samples, best), wall in zip(traj.checkpoints, traj.wall_times):
+        meta[f"job.{graph_id}.{method}.wall_time"] = f"{traj.wall_time:.3f}"
+        for samples, best in traj.checkpoints:
             solver_cut = solver_at[samples]
             ratio = best / solver_cut if solver_cut > 0 else None
             rows.append(ResultRow(graph_id, g.n, p, method, traj.seed, samples,
-                                  best, solver_cut, ratio, wall))
+                                  best, solver_cut, ratio, traj.wall_time))
     return rows, meta, failures
 
 
@@ -232,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Jobs are one graph each and may run in worker processes (cfg.jobs > 1);
     results are assembled in the canonical job order either way.
     """
-    jobs = [(cfg, gid, src) for gid, src in _job_list(cfg)]
+    jobs = [(cfg, *job) for job in _job_list(cfg)]
     if cfg.jobs > 1 and len(jobs) > 1:
         # imported here: the pool machinery costs import time and RSS that jobs = 1 never uses
         from concurrent.futures import ProcessPoolExecutor
@@ -255,7 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(rows, out / "results.csv")
-        write_summary_csv(summarize(rows) if rows else Summary([], []), out / "summary.csv")
+        write_summary_csv(summarize(rows), out / "summary.csv")
         write_metadata(metadata, out / "metadata.txt")
     return ExperimentResult(rows, failures, metadata)
 
@@ -304,9 +299,7 @@ class Summary:
 
 def summarize(rows) -> Summary:
     """Mean ratio and standard error per ER cell/method/checkpoint, plus the
-    best cut per file graph and method."""
-    if not rows:
-        raise ValueError("no rows to summarize")
+    best cut per file graph and method; no rows give an empty Summary."""
     grid_groups: dict = {}
     file_groups: dict = {}
     for r in rows:

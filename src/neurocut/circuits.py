@@ -194,18 +194,17 @@ class TrevisanCircuit:
 class CutTrajectory:
     """Best-so-far cut sizes recorded at power-of-two sample counts.
 
-    checkpoints holds (samples, best_cut) pairs; wall_times holds, at each
-    checkpoint, the seconds since the checkpoint loop began, so building the
-    circuit or sampler (and solving the relaxation) is excluded. They are
-    diagnostic only (everything else is bit-reproducible for a fixed graph,
-    method, seed and config).
+    checkpoints holds (samples, best_cut) pairs; wall_time is the seconds the
+    whole checkpoint loop took, so building the circuit or sampler (and
+    solving the relaxation) is excluded. It is diagnostic only (everything
+    else is bit-reproducible for a fixed graph, method, seed and config).
     """
 
     graph_id: str
     method: str
     seed: int
     checkpoints: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
+    wall_time: float = 0.0
 
 
 def checkpoint_schedule(total_samples: int) -> list:
@@ -214,17 +213,17 @@ def checkpoint_schedule(total_samples: int) -> list:
     A budget that is not an integer (16.0, "3", None) raises ValueError.
     """
     total_samples = _whole(total_samples, "total_samples", least=1)
-    return [1 << k for k in range(total_samples.bit_length()) if (1 << k) <= total_samples]
+    return [1 << k for k in range(total_samples.bit_length())]
 
 
 def checkpoint_trajectory(best_of, total_samples: int, method: str, seed: int,
                           graph_id: str = "") -> CutTrajectory:
     """Record the best cut so far at each checkpoint of the sample budget.
 
-    best_of(count) returns the best cut over the next count samples. Wall
-    times are seconds since the checkpoint loop began: whatever the caller
-    built before this call is not on the clock. A seed that is not an
-    integer (2.5, "3") raises ValueError.
+    best_of(count) returns the best cut over the next count samples. The
+    clock is read once after the loop, so the wall time is the loop's alone:
+    whatever the caller built before this call is not on the clock. A seed
+    that is not an integer (2.5, "3") raises ValueError.
     """
     t0 = time.perf_counter()
     traj = CutTrajectory(graph_id, method, _whole(seed, "seed"))
@@ -234,7 +233,7 @@ def checkpoint_trajectory(best_of, total_samples: int, method: str, seed: int,
         best = max(best, best_of(cp - done))
         done = cp
         traj.checkpoints.append((cp, best))
-        traj.wall_times.append(time.perf_counter() - t0)
+    traj.wall_time = time.perf_counter() - t0
     return traj
 
 

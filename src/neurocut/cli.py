@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .bench import _key_parsers, parse_config_file, run_experiment, summarize
@@ -21,10 +21,6 @@ from .sdp import SolverConfig, format_solution, solve_gw_sdp
 from .seeding import RNG_ALGORITHM
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2
-
-# config fields taken as flags, in --help order; each parses as its config key does
-_RUN_CIRCUIT = ("rank", "alpha", "epoch_steps", "eta0", "tau")
-_SDP_SOLVER = ("tol", "max_iter", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-sdp", help="solve the low-rank cut relaxation")
     _graph_args(p)
     _config_flags(p, CircuitConfig, ("rank",))
-    _config_flags(p, SolverConfig, _SDP_SOLVER)
+    _config_flags(p, SolverConfig)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("run", help="sample cuts with one method and report checkpoints")
@@ -60,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    _config_flags(p, CircuitConfig, _RUN_CIRCUIT)
+    _config_flags(p, CircuitConfig)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("exact", help="exact optimum by enumeration (small graphs)")
@@ -76,9 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(p, cls, names) -> None:
+def _config_flags(p, cls, names=None) -> None:
+    """One flag per field of cls (or per name in names), parsed as its config key would be."""
     parsers, defaults = _key_parsers(cls), cls()
-    for name in names:
+    for name in names or parsers:
         p.add_argument("--" + name.replace("_", "-"), type=parsers[name],
                        default=getattr(defaults, name))
 
@@ -123,7 +120,7 @@ def cmd_gen_er(args) -> int:
 
 def cmd_solve_sdp(args) -> int:
     g = _load(args)
-    cfg = SolverConfig(**{name: getattr(args, name) for name in _SDP_SOLVER})
+    cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     with _output(args) as out:
         sol = solve_gw_sdp(g, args.rank, cfg)
         if not sol.converged:
@@ -135,7 +132,7 @@ def cmd_solve_sdp(args) -> int:
 
 def cmd_run(args) -> int:
     g = _load(args)
-    circuit = CircuitConfig(**{name: getattr(args, name) for name in _RUN_CIRCUIT})
+    circuit = CircuitConfig(**{f.name: getattr(args, f.name) for f in fields(CircuitConfig)})
     with _output(args) as out:
         traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
                               graph_id=args.graph)
@@ -166,14 +163,13 @@ def cmd_bench(args) -> int:
     result = run_experiment(replace(parse_config_file(args.config), **overrides))
     for gid, message in result.failures:
         print(f"failed {gid}: {message}", file=sys.stderr)
-    if result.rows:
-        summary = summarize(result.rows)
-        for row in summary.grid:
-            sem = "-" if row.sem is None else f"{row.sem:.4f}"
-            sys.stdout.write(f"n={row.n} p={row.p} {row.method} samples={row.samples} "
-                             f"ratio={row.mean_ratio:.4f} sem={sem}\n")
-        for frow in summary.files:
-            sys.stdout.write(f"{frow.graph_id} {frow.method} best={frow.best_cut}\n")
+    summary = summarize(result.rows)
+    for row in summary.grid:
+        sem = "-" if row.sem is None else f"{row.sem:.4f}"
+        sys.stdout.write(f"n={row.n} p={row.p} {row.method} samples={row.samples} "
+                         f"ratio={row.mean_ratio:.4f} sem={sem}\n")
+    for frow in summary.files:
+        sys.stdout.write(f"{frow.graph_id} {frow.method} best={frow.best_cut}\n")
     return EXIT_OK
 
 

@@ -246,8 +246,8 @@ def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
 
     Self-loops are dropped and duplicate and reversed edges merge. An optional
     third token is a weight: 1 means an edge and 0 means no edge. Any other
-    weight (2.5, 0.7, -1, nan) raises ParseError naming its line, since the
-    graph is unweighted and would misread it. Edge lists carry no vertex
+    weight (2.5, 0.7, -1, nan), or a fourth token, raises ParseError naming
+    its line, since the graph is unweighted and would misread it. Edge lists carry no vertex
     count, so ids are remapped to 0..n-1 in first-appearance order; Matrix
     Market files declare the size and keep isolated vertices, and their entry
     lines must number exactly the declared nnz. A Matrix Market banner that is
@@ -271,11 +271,12 @@ def _split_entry(raw: str, lineno: int):
     """Tokenize one data line into (u, v, is_edge).
 
     A missing weight or a weight of 1 is an edge and a weight of 0 is not; any
-    other weight is input the unweighted graph cannot represent.
+    other weight is input the unweighted graph cannot represent, and so is a
+    fourth token, which would otherwise go unread.
     """
     tokens = raw.split()
-    if len(tokens) < 2:
-        raise ParseError("expected at least two integer tokens", lineno)
+    if not 2 <= len(tokens) <= 3:
+        raise ParseError(f"expected two or three tokens (u v [weight]), got {len(tokens)}", lineno)
     try:
         u, v = int(tokens[0]), int(tokens[1])
     except ValueError:

@@ -19,7 +19,7 @@ from neurocut import (
     solve_gw_sdp,
     summarize,
 )
-from neurocut.bench import ResultRow, _config_metadata, write_results_csv
+from neurocut.bench import ResultRow, Summary, _config_metadata, write_results_csv
 from neurocut.seeding import derive_seed
 
 # one small cell keeps the harness tests quick; custom_grid covers n=10
@@ -350,8 +350,7 @@ def test_summarize_grid_and_files():
     assert cell.graphs == 2
     assert cell.sem == pytest.approx(np.std([0.75, 1.0], ddof=1) / np.sqrt(2))
     assert summ.files == [type(summ.files[0])("dolphins", "lif-gw", 122)]
-    with pytest.raises(ValueError):
-        summarize([])
+    assert summarize([]) == Summary([], [])
 
 
 def test_summarize_single_graph_sem_none():

@@ -483,7 +483,7 @@ def test_trajectory_from_sampler_draw_budget(k3):
     traj = trajectory_from_sampler(k3, sampler, 100, "random", 0)
     assert sum(drawn) == 64  # nothing beyond the last power of two
     assert [s for s, _ in traj.checkpoints] == [1, 2, 4, 8, 16, 32, 64]
-    assert len(traj.wall_times) == 7
+    assert type(traj.wall_time) is float and traj.wall_time >= 0
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["over-filling", "under-filling"])
@@ -598,7 +598,7 @@ def test_trajectory_clock_starts_after_the_circuit_is_built(c4, monkeypatch, met
     monkeypatch.setattr(cls, "__init__", slow_init)
     sol = solve_gw_sdp(c4, 3, SolverConfig(tol=1e-6, seed=0))
     traj = run_trajectory(method, c4, 16, seed=1, solution=sol)
-    assert traj.wall_times[0] < 0.1
+    assert traj.wall_time < 0.1
 
 
 def test_run_trajectory_unknown_method(k3):

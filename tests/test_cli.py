@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from neurocut import CircuitConfig, SolverConfig, cli, load_graph, parse_config_file
+from neurocut.bench import _key_parsers
 from neurocut.cli import main
 
 K3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
@@ -181,6 +183,23 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out_dir / "metadata.txt").exists()
 
 
+def test_bench_with_no_rows_writes_header_only_files(tmp_path, capsys):
+    # the only job fails, so there is nothing to summarize: still exit 0
+    missing = tmp_path / "missing.mtx"
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"er_graphs_per_cell = 0\ngraph_files = {missing}\nsamples = 8\n",
+                   encoding="utf-8")
+    out_dir = tmp_path / "res"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failed missing: ")
+    assert (out_dir / "results.csv").read_text(encoding="utf-8").splitlines() == [
+        "graph_id,n,p,method,seed,samples,best_cut,solver_cut,ratio"]
+    assert (out_dir / "summary.csv").read_text(encoding="utf-8").splitlines() == [
+        "n,p,method,samples,mean_ratio,sem,graphs"]
+
+
 def test_bench_jobs_zero_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
@@ -305,6 +324,18 @@ def test_config_flag_parses_text_as_its_config_key(command, flag, text, want, tm
         p = tmp_path / "key.cfg"
         p.write_text(f"{key} = {text}\n", encoding="utf-8")
         assert getattr(parse_config_file(p).circuit, key) == from_flag
+
+
+@pytest.mark.parametrize("command, cls", [("run", CircuitConfig), ("solve-sdp", SolverConfig)])
+def test_every_config_field_is_a_flag_of_its_command(command, cls):
+    # the flags are read off the dataclass, so a new field needs no CLI edit;
+    # "3" is no field's default, and every field type here reads it
+    parsers = _key_parsers(cls)
+    for f in fields(cls):
+        value = getattr(_parse(command, "--" + f.name.replace("_", "-"), "3"), f.name)
+        want = parsers[f.name]("3")
+        assert value == want and type(value) is type(want)
+        assert value != getattr(cls(), f.name)
 
 
 def test_solve_sdp_max_iter_none_runs_uncapped(k3_file, capsys):

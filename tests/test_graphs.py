@@ -516,6 +516,14 @@ def test_edge_list_zero_weight_skips_edge(tmp_edge_list):
             load_graph(path)
 
 
+@pytest.mark.parametrize("entry", ["2 3 1 abc", "2 3 1 1", "2 3 0 1"])
+def test_edge_list_extra_token_rejected(tmp_edge_list, entry):
+    # the tokens past the weight went unread, so '2 3 1 abc' was the edge 2-3
+    path = tmp_edge_list(["1 2", entry])
+    with pytest.raises(ParseError, match="line 2: expected two or three tokens"):
+        load_graph(path)
+
+
 def test_edge_list_indexing_option(tmp_edge_list):
     path = tmp_edge_list(["0 1", "1 2"])
     with pytest.raises(ParseError):
@@ -599,6 +607,13 @@ def test_mtx_weighted_entries_binarized(tmp_mtx):
         load_graph(path)
     path = tmp_mtx(["4 4 3", "1 2 1", "2 3 0", "3 3 5"])
     with pytest.raises(ParseError, match="line 4: weight '5' is not 0 or 1"):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("entry", ["3 2 1 abc", "3 2 1 0", "3 2 0 1"])
+def test_mtx_extra_token_rejected(tmp_mtx, entry):
+    path = tmp_mtx(["%%MatrixMarket matrix coordinate real symmetric", "4 4 2", "2 1 1", entry])
+    with pytest.raises(ParseError, match="line 4: expected two or three tokens"):
         load_graph(path)
 
 
