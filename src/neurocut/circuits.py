@@ -90,6 +90,9 @@ class GwCircuit:
         # _table[j, v] = sum_t decay[8j + t] * (2 bit_t(v) - 1): byte j's share of d
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
         self._table = decay.reshape(-1, 8) @ (2.0 * bits.T - 1.0)
+        # _offsets[i, j] = 256 j, where byte j's row starts in the flat _table;
+        # tiled over the devices, so the index sum runs along whole epochs
+        self._offsets = np.tile(np.arange(0, self._table.size, 256), (self.pool.count, 1))
         # sample_cuts integrates each slice of epochs here before reading signs
         self._membranes = np.empty((_SLICE, graph.n))
 
@@ -108,7 +111,13 @@ class GwCircuit:
         elif out.shape != (count, self.graph.n):
             raise ValueError(f"out has shape {out.shape}, expected ({count}, {self.graph.n})")
         codes = self.pool.sample_epochs(count, self.config.epoch_steps)
-        drive = sum(row.take(codes[..., j]) for j, row in enumerate(self._table))
+        # parts[..., j] = _table[j, codes[..., j]], every byte's share from one
+        # take; the shares are added in byte order from zero, the order of sum()
+        # over the rows of _table, so the drive does not depend on the gather
+        parts = self._table.take(codes + self._offsets)
+        drive = np.zeros(parts.shape[:2])
+        for j in range(parts.shape[2]):
+            drive += parts[..., j]
         return np.matmul(drive, self._weights.T, out=out)
 
     def sample_cuts(self, count: int) -> np.ndarray:
@@ -116,19 +125,20 @@ class GwCircuit:
 
         Epochs are integrated _SLICE at a time into the circuit's own
         membrane buffer, and each slice's signs are written straight into the
-        int8 result (+1 where the membrane is positive, ties to -1). The
-        device stream is split-invariant by epoch, so the slicing cannot
-        change a label. A count that is not a positive integer raises
-        ValueError.
+        int8 result and made ±1 there while the slice is in cache (+1 where
+        the membrane is positive, ties to -1). The device stream is
+        split-invariant by epoch, so the slicing cannot change a label. A
+        count that is not a positive integer raises ValueError.
         """
         count = _whole(count, "count", least=1)
         labels = np.empty((count, self.graph.n), dtype=np.int8)
         for start in range(0, count, _SLICE):
             b = min(_SLICE, count - start)
             v = self.epoch_membranes(b, out=self._membranes[:b])
-            np.greater(v, 0, out=labels[start:start + b].view(np.bool_))
-        labels *= 2
-        labels -= 1
+            cuts = labels[start:start + b]
+            np.greater(v, 0, out=cuts.view(np.bool_))
+            cuts *= 2
+            cuts -= 1
         return labels
 
 
@@ -149,7 +159,9 @@ class TrevisanCircuit:
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
         q = 1.0 - config.alpha
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
-        self.pop = LifPopulation(trevisan_matrix(graph) * np.sqrt(1.0 - q * q), alpha=config.alpha)
+        weights = trevisan_matrix(graph)
+        weights *= np.sqrt(1.0 - q * q)
+        self.pop = LifPopulation(weights, alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
         # every run_steps block is drawn into _states and integrated into _membranes

@@ -8,7 +8,14 @@ import numpy as np
 
 from .devices import _check_probability, _whole
 
-# Label rows per scoring slice in cut_values.
+# Product rows per scoring slice in cut_values. A slice holds _SLICE label
+# rows, or 2 _SLICE where _walk packs two label rows into each product row, so
+# that each packing of a U panel serves 512 labels. Scoring 4096 rows at n=500
+# (one BLAS thread, 2-core x86-64 VM, best of 30 interleaved calls in each of
+# three processes) took 8.8-9.0 ms in packed slices of 384, 512 or 768 label
+# rows, 9.5-9.8 in 256, 9.0-9.3 in 1024 and 11.5-12.5 in 2048, where Y, Z and
+# U (1 MB at n=500) outgrow a core's 2 MB L2. Unpacked slices stay at 256
+# rows: 512 there raised perfbench desk's peak_rss_mb by 0.16 MB.
 _SLICE = 256
 # Vertices per column block of U in _walk.
 _BLOCK = 128
@@ -162,36 +169,40 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
 
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
-    The dtype is checked once; rows are checked and scored _SLICE at a time,
-    so the float copy and its products are slice-sized whatever the batch,
-    and the arithmetic is exact (see cut_values), so the slicing cannot
-    change a score.
+    The dtype is checked once; rows are checked and scored a slice of _SLICE
+    product rows at a time, so the float32 operands and products are
+    slice-sized whatever the batch, and the arithmetic is exact (see
+    cut_values), so the slicing cannot change a score.
     """
     if v.dtype.kind not in "iuf":  # a cast would read True as +1 and drop imaginary parts
         raise ValueError(f"labels must be +1 or -1, not of dtype {v.dtype}")
     out = np.zeros(v.shape[0], dtype=np.int64)
     u, c = g._scoring_adjacency()
-    for start in range(0, len(v), _SLICE):
-        rows = v[start:start + _SLICE]
-        if not np.all((rows == 1) | (rows == -1)):
+    size = 2 * _SLICE if c else _SLICE
+    for start in range(0, len(v), size):
+        rows = v[start:start + size]
+        if not np.all(np.abs(rows) == 1):  # abs wraps the int minimum to itself, so it fails too
             raise ValueError("labels must be +1 or -1")
-        out[start:start + len(rows)] = (g.m - _walk(rows.astype(np.float32), u, c)) // 2
+        out[start:start + len(rows)] = (g.m - _walk(rows, u, c)) // 2
     return out
 
 
 def _walk(x: np.ndarray, u: np.ndarray, c: int) -> np.ndarray:
-    """h = x^T U x for every row of x, U walked by column blocks J = [lo, hi).
+    """h = x^T U x for every ±1 row of x, U walked by column blocks J = [lo, hi).
 
     Z[:, J] = Y[:, :hi] @ U[:hi, J], since U is zero below the diagonal:
     about n^2 / 2 + n _BLOCK / 2 multiply-adds per product row, and one
-    product for at most _BLOCK vertices. With c = 0, Y = X and h adds each
-    block's rowsum(Z[:, J] * X[:, J]) in int64. With c > 0, the first half a
-    of x and the second half b pair row for row, Y = X_a + c X_b, and an odd
-    length leaves a's last row without a partner; Q = (Z + M) - M is c S_b
-    (see cut_values), Z - Q is S_a, and h is rowsum(S_a * X_a) for a and
-    rowsum((Q / c) * X_b) for b.
+    product for at most _BLOCK vertices. With c = 0, Y = X in float32 and h
+    adds each block's rowsum(Z[:, J] * X[:, J]) in int64. With c > 0, the
+    first half a of x and the second half b pair row for row, Y = X_a + c X_b,
+    and an odd length leaves a's last row without a partner; Q = (Z + M) - M
+    is c S_b (see cut_values), Z - Q is S_a, and h is rowsum(S_a * X_a) for a
+    and rowsum((Q / c) * X_b) for b. The packed walk keeps two float32
+    buffers, Y and Z: X_a is cast into Z until the products overwrite it, Q
+    takes Y once the products are done, and the row sums read x as it is.
     """
     if not c:
+        x = x.astype(np.float32)
         h = 0
         for lo in range(0, len(u), _BLOCK):
             hi = lo + _BLOCK
@@ -199,14 +210,20 @@ def _walk(x: np.ndarray, u: np.ndarray, c: int) -> np.ndarray:
         return h
     half = (len(x) + 1) // 2
     a, b = x[:half], x[half:]
-    y = a.copy()
-    y[:len(b)] += c * b
+    # y = c X_b + X_a; every value is an integer below 2^24, so the order cannot round
+    y = np.empty((half, len(u)), dtype=np.float32)
     z = np.empty_like(y)
+    y[:len(b)] = b
+    y[len(b):] = 0
+    y *= np.float32(c)
+    z[...] = a
+    y += z
     for lo in range(0, len(u), _BLOCK):
         hi = lo + _BLOCK
         np.matmul(y[:, :hi], u[:hi, lo:hi], out=z[:, lo:hi])
     big = np.float32(1.5 * 2 ** 23 * c)
-    q = (z + big) - big
+    q = np.add(z, big, out=y)
+    q -= big
     z -= q
     q *= np.float32(1 / c)
     h = np.empty(len(x), dtype=np.int64)

@@ -146,10 +146,15 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     W taken before it, with the divide masked to rows of nonzero norm. Before
     each sweep the Riemannian gradient norm is compared with config.tol; a run
     that reaches the sweep cap first comes back flagged converged=False rather
-    than raising, so callers can decide. iterations counts sweeps. An edgeless
-    graph converges at once with f = 0. The vectors come back in vertex order.
-    SolverConfig checks its limits and seed when it is built; max_iter=0
-    returns the start.
+    than raising, so callers can decide. iterations counts sweeps. The test
+    needs the whole product -A @ W, as much work as a sweep, so class 0's
+    product, which the sweep needs anyway, is formed first: its rows' share of
+    the gradient norm bounds the whole from below, and while that share
+    exceeds 2 tol below the cap the test could not stop the run and is
+    skipped. grad_norm, iterations and converged are therefore those of
+    testing before every sweep. An edgeless graph converges at once with
+    f = 0. The vectors come back in vertex order. SolverConfig checks its
+    limits and seed when it is built; max_iter=0 returns the start.
     """
     cfg = config or SolverConfig()
     r = effective_rank(rank, g.n)
@@ -169,8 +174,10 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def sweep(masked: bool) -> None:
-        for rows, z_c, sq_c, norm_c, w_c in classes:
-            np.dot(rows, w, out=z_c)
+        # class 0's product is formed before the sweep, at the same W
+        for k, (rows, z_c, sq_c, norm_c, w_c) in enumerate(classes):
+            if k:
+                np.dot(rows, w, out=z_c)
             np.vecdot(z_c, z_c, out=sq_c)
             np.sqrt(sq_c, out=sq_c)
             np.divide(z_c, norm_c, out=w_c, where=norm_c > 0.0 if masked else True)
@@ -179,12 +186,23 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            np.dot(neg, w, out=grad)
-            grad *= 0.5
-            grad -= np.vecdot(grad, w)[:, None] * w  # tangent projection
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= cfg.tol or iterations >= cap:
-                break
+            bound = 0.0
+            if classes:
+                rows, z_c, _, _, w_c = classes[0]
+                np.dot(rows, w, out=z_c)
+                part = grad[:len(z_c)]
+                np.multiply(z_c, 0.5, out=part)
+                part -= np.vecdot(part, w_c)[:, None] * w_c
+                bound = float(np.linalg.norm(part))
+            # class 0's share of the gradient norm bounds the whole from below;
+            # twice tol leaves room for the two products' rounding
+            if bound <= 2.0 * cfg.tol or iterations >= cap:
+                np.dot(neg, w, out=grad)
+                grad *= 0.5
+                grad -= np.vecdot(grad, w)[:, None] * w  # tangent projection
+                grad_norm = float(np.linalg.norm(grad))
+                if grad_norm <= cfg.tol or iterations >= cap:
+                    break
             np.copyto(before, w)
             sweep(masked=False)
             if not swept.all():  # a row with z_i = 0: redo the sweep, keeping it

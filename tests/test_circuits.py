@@ -93,6 +93,24 @@ def test_gw_epoch_equals_decay_weighted_unpacked_bits(k, r, alpha, seed):
     assert np.max(np.abs(membranes - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
+@given(st.integers(1, 130), st.integers(2, 7), st.integers(1, 300), st.integers(0, 2 ** 31))
+@example(100, 4, 256, 0)
+@settings(max_examples=60, deadline=None)
+def test_gw_epoch_drive_adds_the_byte_lookups_in_byte_order(k, r, count, seed):
+    # the drive is the sum, left to right from zero, of one table lookup per
+    # byte of 8 steps; a pairwise or reordered sum moves its last bits
+    n = 6
+    vectors = np.random.default_rng(seed).standard_normal((n, r))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    sol = SdpSolution(vectors, rank=r, objective=0.0, grad_norm=None, iterations=None,
+                      converged=True)
+    circ = GwCircuit(Graph(n, []), sol, seed, CircuitConfig(epoch_steps=k))
+    codes = DevicePool(r, seed=seed).sample_epochs(count, k)
+    drive = sum(row.take(codes[..., j]) for j, row in enumerate(circ._table))
+    expected = np.matmul(drive, circ._weights.T)
+    assert circ.epoch_membranes(count).tobytes() == expected.tobytes()
+
+
 def test_gw_samples_are_stream_split_invariant(c4):
     sol = solve_gw_sdp(c4)
     a = GwCircuit(c4, sol, seed=5)
@@ -378,6 +396,25 @@ def test_trevisan_input_scale_undoes_stationary_variance(petersen):
     m = trevisan_matrix(petersen)
     w, q = circ.pop.weights, 1.0 - circ.pop.alpha
     assert np.max(np.abs(w @ w.T / (1.0 - q * q) - m @ m)) <= 1e-12
+
+
+def _without_edges_at(g, isolated):
+    return Graph(g.n, [(u, v) for u, v in g.edges.tolist() if u not in isolated and v not in isolated])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph(1, []),
+    lambda: _without_edges_at(generate_erdos_renyi(20, 0.3, 2), {0, 7, 19}),
+    lambda: _without_edges_at(generate_erdos_renyi(130, 0.5, 3), {5, 64, 129}),
+    lambda: _without_edges_at(generate_erdos_renyi(500, 0.75, 4), {0, 250}),
+], ids=["n1", "n20", "n130", "n500"])
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_trevisan_weights_are_the_scaled_matrix_bit_for_bit(make, alpha):
+    g = make()
+    assert g.n == 1 or np.any(g.degrees == 0)
+    q = 1.0 - alpha
+    circ = TrevisanCircuit(g, seed=1, config=CircuitConfig(alpha=alpha))
+    assert circ.pop.weights.tobytes() == (trevisan_matrix(g) * np.sqrt(1 - q * q)).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])

@@ -265,25 +265,30 @@ def test_sliced_scoring_matches_gather_at_slice_boundaries(batch, p):
     assert got.tolist() == gather_cut_values(g, labels).tolist()
 
 
+# label rows per slice where the scorer packs two into each product row
+_PACKED_SLICE = 2 * _SLICE
+
+
 def _paired_patterns(n, batch):
     """Rows of all +1, all -1 and alternating signs, every pattern pair packed together.
 
-    Row k of a slice pairs with row k + half of it in the packed scorer, so
-    the first half cycles through the four patterns and the second half
-    holds each pattern for four rows; a slice of odd length leaves its last
-    row of the first half without a partner.
+    Row k of a packed slice pairs with row k + half of it in the packed
+    scorer, so the first half cycles through the four patterns and the
+    second half holds each pattern for four rows; a slice of odd length
+    leaves its last row of the first half without a partner.
     """
     alt = np.resize(np.array([1, -1], dtype=np.int8), n)
     patterns = np.stack([np.ones(n, dtype=np.int8), -np.ones(n, dtype=np.int8), alt, -alt])
     picks = []
-    for start in range(0, batch, _SLICE):
-        size = min(_SLICE, batch - start)
+    for start in range(0, batch, _PACKED_SLICE):
+        size = min(_PACKED_SLICE, batch - start)
         half = (size + 1) // 2
         picks += [k % 4 for k in range(half)] + [(k // 4) % 4 for k in range(size - half)]
     return patterns[picks]
 
 
-@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1])
+@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1,
+                                   _PACKED_SLICE - 1, _PACKED_SLICE, _PACKED_SLICE + 1])
 @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 45])
 def test_packed_scoring_is_exact_on_complete_graphs(n, batch):
     # K_n's last column of U holds d = n - 1 ones, so an all-(+1) or all-(-1) row
@@ -297,7 +302,8 @@ def test_packed_scoring_is_exact_on_complete_graphs(n, batch):
     assert got[0] == 0 and (batch < 3 or got[2] == (n // 2) * (n - n // 2))
 
 
-@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1])
+@pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1,
+                                   _PACKED_SLICE - 1, _PACKED_SLICE, _PACKED_SLICE + 1])
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_packed_scoring_matches_gather_at_slice_boundaries(batch, p):
     g = generate_erdos_renyi(2 * _BLOCK - 11, p, 5)
@@ -305,6 +311,18 @@ def test_packed_scoring_matches_gather_at_slice_boundaries(batch, p):
     got = cut_values(g, labels)
     assert g._scoring_adjacency()[1] > 0
     assert got.tolist() == gather_cut_values(g, labels).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64,
+                                   np.float16, np.float32, np.float64])
+def test_packed_scoring_reads_labels_of_any_real_dtype(dtype):
+    # the packed walk casts the labels into its float32 operand and takes its
+    # row sums against the labels in their own dtype
+    g = generate_erdos_renyi(2 * _BLOCK + 45, 0.5, 6)
+    signs = np.random.default_rng(7).integers(0, 2, size=(_PACKED_SLICE + 3, g.n)) * 2 - 1
+    labels = (np.abs(signs) if np.dtype(dtype).kind == "u" else signs).astype(dtype)
+    assert g._scoring_adjacency()[1] > 0
+    assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
 
 
 def test_graphs_of_at_most_one_block_score_unpacked():
@@ -345,6 +363,16 @@ def test_cut_values_temporaries_are_slice_sized():
     g = generate_erdos_renyi(100, 0.5, 1)
     labels = np.random.default_rng(0).integers(0, 2, size=(4096, 100), dtype=np.int8) * 2 - 1
     assert warm_peak_bytes(lambda: cut_values(g, labels)) < 1_000_000
+
+
+def test_packed_scoring_temporaries_are_slice_sized():
+    # a (4096, 500) float32 copy of the batch alone would take 8.2 MB; a packed
+    # slice of 512 rows takes two float32 buffers of 256 rows, 0.5 MB each, and
+    # the call peaked at 1.1 MB
+    g = generate_erdos_renyi(500, 0.75, 1)
+    labels = np.random.default_rng(0).integers(0, 2, size=(4096, 500), dtype=np.int8) * 2 - 1
+    assert g._scoring_adjacency()[1] > 0
+    assert warm_peak_bytes(lambda: cut_values(g, labels)) < 1_400_000
 
 
 @pytest.mark.parametrize("row", [[1, 0, 1], [True, False, True], [1.0, -1.0, 2.0],

@@ -207,6 +207,69 @@ def test_exact_cancellation_keeps_the_row(monkeypatch):
     assert sol.objective == 4.0
 
 
+def _solve_testing_before_every_sweep(g, config):
+    """The mixing method with the full stop test before every sweep.
+
+    The same colouring, start, products and divides as solve_gw_sdp, so the
+    two agree bit for bit while no skipped test would have stopped the run. A
+    sweep whose unmasked divide meets z_i = 0 is replayed masked, and a masked
+    sweep equals the unmasked one on every other row, so this one divides
+    masked throughout.
+    """
+    r = effective_rank(4, g.n)
+    start = normalize_rows(np.random.default_rng(config.seed).standard_normal((g.n, r)))
+    order, bounds = _colour_classes(g.adjacency)
+    neg = -g.adjacency[np.ix_(order, order)]
+    w = start[order]
+    cap = config.max_iter if config.max_iter is not None else 50 * g.n
+    sweeps = 0
+    while True:
+        grad = 0.5 * (neg @ w)
+        grad -= np.vecdot(grad, w)[:, None] * w
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= config.tol or sweeps >= cap:
+            break
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            z = neg[lo:hi] @ w
+            norm = np.sqrt(np.vecdot(z, z))[:, None]
+            np.divide(z, norm, out=w[lo:hi], where=norm > 0.0)
+        sweeps += 1
+    vectors = np.empty_like(w)
+    vectors[order] = w
+    return vectors, grad_norm, sweeps, grad_norm <= config.tol
+
+
+@pytest.mark.parametrize("make, config", [
+    (lambda: generate_erdos_renyi(200, 0.1, 1), SolverConfig()),
+    (lambda: generate_erdos_renyi(200, 0.5, 1), SolverConfig()),
+    (lambda: Graph(6, []), SolverConfig()),
+    (lambda: Graph(8, [(0, 1), (1, 2), (0, 2), (4, 5)]), SolverConfig()),
+    (lambda: generate_erdos_renyi(40, 0.3, 2), SolverConfig(max_iter=0)),
+    (lambda: generate_erdos_renyi(40, 0.3, 2), SolverConfig(tol=0.0, max_iter=25, seed=4)),
+], ids=["sdp-p0.1", "sdp-p0.5", "edgeless", "isolated", "no-sweep", "tol0-capped"])
+def test_stop_test_skipped_only_where_it_cannot_stop_the_run(make, config):
+    # class 0's share of the gradient norm bounds the whole, so solve_gw_sdp skips
+    # the full test only while that share is above 2 tol, and below the cap
+    g = make()
+    vectors, grad_norm, sweeps, converged = _solve_testing_before_every_sweep(g, config)
+    sol = solve_gw_sdp(g, config=config)
+    assert sol.vectors.tobytes() == vectors.tobytes()
+    assert (sol.grad_norm, sol.iterations, sol.converged) == (grad_norm, sweeps, converged)
+
+
+def test_stop_test_at_exact_cancellation_matches_testing_every_sweep(monkeypatch):
+    # the start of test_exact_cancellation_keeps_the_row: its one sweep is replayed masked
+    e = np.eye(4)
+    start = np.array([e[1], e[0], -e[1], e[0]])
+    monkeypatch.setattr("neurocut.sdp.normalize_rows", lambda _: start.copy())
+    monkeypatch.setattr(f"{__name__}.normalize_rows", lambda _: start.copy())
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    vectors, grad_norm, sweeps, converged = _solve_testing_before_every_sweep(c4, SolverConfig())
+    sol = solve_gw_sdp(c4)
+    assert sol.vectors.tobytes() == vectors.tobytes()
+    assert (sol.grad_norm, sol.iterations, sol.converged) == (grad_norm, sweeps, converged) == (0.0, 1, True)
+
+
 def test_iteration_cap_flags_not_converged(petersen):
     sol = solve_gw_sdp(petersen, config=SolverConfig(max_iter=2))
     assert not sol.converged
