@@ -7,6 +7,9 @@ files, out-of-range parameters), 2 numerical failure (diverged learning).
 from __future__ import annotations
 
 import argparse
+import io
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -94,17 +97,38 @@ def _load(args):
 
 @contextmanager
 def _output(args):
-    """The --out file opened for writing, or stdout.
+    """The --out file, written once the command succeeds, or stdout.
 
-    Commands enter it before their work, so a path that cannot be written
-    fails before a solve or a trajectory is paid for.
+    Commands enter it before their work. A regular or missing --out is
+    opened for appending, which writes nothing, so a path that cannot be
+    written fails before a solve or a trajectory is paid for. The output is
+    held in memory and written over --out only on success, so a failed
+    command leaves --out as it was and removes an --out it created. Any
+    other --out (a device, a FIFO, a pipe) is opened once for writing.
     """
     # an empty --out is a path open() rejects, not a request for stdout
     if args.out is None:
         yield sys.stdout
         return
+    try:
+        regular, existed = stat.S_ISREG(os.stat(args.out).st_mode), True
+    except FileNotFoundError:
+        regular, existed = True, False
+    if not regular:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    open(args.out, "a", encoding="utf-8").close()
+    buf = io.StringIO()
+    try:
+        yield buf
+    except BaseException:
+        if not existed:
+            # a dangling symlink keeps its link; the file the probe made goes
+            os.remove(os.path.realpath(args.out))
+        raise
     with open(args.out, "w", encoding="utf-8") as fh:
-        yield fh
+        fh.write(buf.getvalue())
 
 
 def _labels_line(labels) -> str:

@@ -87,10 +87,11 @@ class Graph:
 
         U is the strict upper triangle of the adjacency, float32 and read-only;
         every block product of the scorer is a view of it. c is the factor by
-        which _walk packs two label rows into one, or 0 where it scores one row
-        per product row (see cut_values). The pair is built on first use and is
-        the only thing a graph caches. A graph past the exact range of
-        cut_values raises ValueError before U is allocated.
+        which _walk packs two label rows into one, or 0 where the packed sums
+        could reach 2^24 and it scores one row per product row (see
+        cut_values). The pair is built on first use and is the only thing a
+        graph caches. A graph past the exact range of cut_values raises
+        ValueError before U is allocated.
         """
         if self._scoring is None:
             if min(self.m, _BLOCK * (self.n - 1)) >= _FLOAT32_EXACT:
@@ -98,7 +99,7 @@ class Graph:
             # d, U's largest column count, bounds |s| for s = x^T U[:, j] of a ±1 row x
             d = int(np.bincount(self.edges[:, 1], minlength=self.n).max())
             c = 1 << (2 * d).bit_length()
-            if not (self.n > _BLOCK and d * (1 + c) < _FLOAT32_EXACT and self.m < _FLOAT32_EXACT):
+            if not (d * (1 + c) < _FLOAT32_EXACT and self.m < _FLOAT32_EXACT):
                 c = 0
             # edges are stored with i < j, so (i, j) alone fills the strict upper triangle
             upper = np.zeros((self.n, self.n), dtype=np.float32)
@@ -145,18 +146,19 @@ def cut_values(g: Graph, labels) -> np.ndarray:
     U is walked by column blocks J of _BLOCK vertices (see _walk). With one
     label row per product row, the partial sums of s_j are at most d_j and
     those of J's row sum of s_j x_j at most sum_{j in J} d_j, which is at
-    most min(m, _BLOCK (n - 1)); the block sums add in int64. A graph of
-    more than _BLOCK vertices packs two rows into one product row instead,
+    most min(m, _BLOCK (n - 1)); the block sums add in int64. The scorer
+    packs two rows into one product row instead, whatever n,
     y = x_a + c x_b, where d is the largest d_j and c the smallest power of
     two above 2d. An entry of y U is s_a + c s_b with each partial sum at
     most d (1 + c). Adding M = 1.5 2^23 c moves it to where float32's
     spacing is c, so it rounds to M + c s_b, since |s_a| < c / 2;
     subtracting M leaves c s_b, and the rest is s_a. Each half's h is then a
-    row sum of s_j x_j, whose partial sums are at most m. Where d (1 + c) or
-    m reaches 2^24 the graph keeps one row per product row. Past
-    min(m, _BLOCK (n - 1)) >= 2^24 (m >= 2^24 and n > 2^24 / _BLOCK, where
-    U alone would take over 64 GB) scoring raises ValueError, as do a bool,
-    complex, object or string label array and any entry other than +1 or -1.
+    row sum of s_j x_j, whose partial sums are at most m. Only where
+    d (1 + c) or m reaches 2^24 does a graph keep one row per product row.
+    Past min(m, _BLOCK (n - 1)) >= 2^24 (m >= 2^24 and n > 2^24 / _BLOCK,
+    where U alone would take over 64 GB) scoring raises ValueError, as do a
+    bool, complex, object or string label array and any entry other than +1
+    or -1.
     """
     v = np.asarray(labels)
     if v.ndim != 2 or v.shape[1] != g.n:
@@ -170,9 +172,10 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     cut_value calls this rather than cut_values, so a wrapper around
     cut_values (perfbench/tracer.py counts its rows) sees only batch calls.
     The dtype is checked once; rows are checked and scored a slice of _SLICE
-    product rows at a time, so the float32 operands and products are
-    slice-sized whatever the batch, and the arithmetic is exact (see
-    cut_values), so the slicing cannot change a score.
+    product rows (2 _SLICE label rows where they pack) at a time, so the
+    float32 operands and products are slice-sized whatever the batch, and
+    the arithmetic is exact (see cut_values), so the slicing cannot change
+    a score.
     """
     if v.dtype.kind not in "iuf":  # a cast would read True as +1 and drop imaginary parts
         raise ValueError(f"labels must be +1 or -1, not of dtype {v.dtype}")
@@ -181,7 +184,7 @@ def _score_rows(g: Graph, v: np.ndarray) -> np.ndarray:
     size = 2 * _SLICE if c else _SLICE
     for start in range(0, len(v), size):
         rows = v[start:start + size]
-        if not np.all(np.abs(rows) == 1):  # abs wraps the int minimum to itself, so it fails too
+        if not (np.abs(rows) == 1).all():  # abs wraps the int minimum to itself, so it fails too
             raise ValueError("labels must be +1 or -1")
         out[start:start + len(rows)] = (g.m - _walk(rows, u, c)) // 2
     return out

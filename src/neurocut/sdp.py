@@ -112,15 +112,17 @@ def _colour_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     isolated = degree == 0
     removal = np.empty(n, dtype=np.intp)
     for k in range(n):
-        v = int(np.argmin(degree))
+        v = int(degree.argmin())
         removal[k] = v
         degree -= a[v]
         degree[v] = np.inf
     colour = np.full(n, n, dtype=np.intp)  # n: not coloured yet
-    for v in removal[::-1]:
-        used = np.zeros(n + 1, dtype=bool)
-        used[colour[a[v] != 0]] = True
-        colour[v] = int(np.argmin(used))
+    used = np.zeros(n + 1, dtype=bool)  # set for each vertex's neighbours, then cleared
+    for v in removal[::-1].tolist():
+        taken = colour[a[v] != 0]
+        used[taken] = True
+        colour[v] = used.argmin()
+        used[taken] = False
     colour[isolated] = n  # sorts after every class
     order = np.argsort(colour, kind="stable")
     count = int(colour[~isolated].max(initial=-1)) + 1
@@ -132,28 +134,30 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     """Maximize the relaxation by the mixing method, one colour class at a time.
 
     The start is normalize_rows(standard_normal((n, r))) from
-    default_rng(config.seed), so a run is deterministic for a fixed seed.
-    The graph is coloured once (_colour_classes) and A and W are permuted once
-    so that each class is a contiguous row slice; A is then negated in place,
+    default_rng(config.seed), so a run is deterministic for a fixed seed. The
+    graph is coloured once (_colour_classes) and A and W are permuted once so
+    that each class is a contiguous row slice; A is then negated in place,
     which is exact. A sweep visits the classes in order and sets their rows at
     once, with one product z = -A[lo:hi] @ W and w_i = z_i / |z_i|, the unique
-    maximizer of f over row i. Each class is four numpy calls into buffers
-    allocated once per solve. No row of a class enters another's z, so a sweep
-    is an exact row-by-row sweep in the permuted order, and f never decreases.
-    Isolated vertices are in no class: their z is 0, so they keep their start
-    rows. A swept row whose neighbours cancel exactly (z_i = 0) does not enter
-    f and is left as it is: a sweep that meets one is replayed from a copy of
-    W taken before it, with the divide masked to rows of nonzero norm. Before
-    each sweep the Riemannian gradient norm is compared with config.tol; a run
-    that reaches the sweep cap first comes back flagged converged=False rather
-    than raising, so callers can decide. iterations counts sweeps. The test
-    needs the whole product -A @ W, as much work as a sweep, so class 0's
-    product, which the sweep needs anyway, is formed first: its rows' share of
-    the gradient norm bounds the whole from below, and while that share
-    exceeds 2 tol below the cap the test could not stop the run and is
-    skipped. grad_norm, iterations and converged are therefore those of
-    testing before every sweep. An edgeless graph converges at once with
-    f = 0. The vectors come back in vertex order. SolverConfig checks its
+    maximizer of f over row i. Each class is four numpy calls (product, row
+    dot, square root, divide) into buffers allocated once per solve; a class
+    holds a few rows, so the calls, not their arithmetic, set a sweep's time.
+    No row of a class enters another's z, so a sweep is an exact row-by-row
+    sweep in the permuted order, and f never decreases. Isolated vertices are
+    in no class: their z is 0, so they keep their start rows. A swept row
+    whose neighbours cancel exactly (z_i = 0) does not enter f and is left as
+    it is: a sweep that meets one is replayed from a copy of W taken before
+    it, with the divide masked to rows of nonzero norm; the first pass divides
+    unmasked. Before each sweep the Riemannian gradient norm is compared with
+    config.tol; a run that reaches the sweep cap first comes back flagged
+    converged=False rather than raising, so callers can decide. iterations
+    counts sweeps. The test needs the whole product -A @ W, as much work as a
+    sweep, so class 0's product, which the sweep needs anyway, is formed
+    first: its rows' share of the gradient norm bounds the whole from below,
+    and while that share exceeds 2 tol below the cap the test could not stop
+    the run and is skipped. grad_norm, iterations and converged are therefore
+    those of testing before every sweep. An edgeless graph converges at once
+    with f = 0. The vectors come back in vertex order. SolverConfig checks its
     limits and seed when it is built; max_iter=0 returns the start.
     """
     cfg = config or SolverConfig()
@@ -172,28 +176,40 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
     # norm[lo:hi, 0] takes vecdot's (k,) output; norm[lo:hi] broadcasts in the divide
     classes = [(neg[lo:hi], z[lo:hi], norm[lo:hi, 0], norm[lo:hi], w[lo:hi])
                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # a class's numpy calls cost more than its arithmetic, so the loops bind
+    # the functions once and pass their outs positionally
+    dot, vecdot, sqrt, multiply, divide = np.dot, np.vecdot, np.sqrt, np.multiply, np.divide
 
-    def sweep(masked: bool) -> None:
-        # class 0's product is formed before the sweep, at the same W
-        for k, (rows, z_c, sq_c, norm_c, w_c) in enumerate(classes):
-            if k:
-                np.dot(rows, w, out=z_c)
-            np.vecdot(z_c, z_c, out=sq_c)
-            np.sqrt(sq_c, out=sq_c)
-            np.divide(z_c, norm_c, out=w_c, where=norm_c > 0.0 if masked else True)
+    def masked(z_c, norm_c, w_c) -> None:
+        divide(z_c, norm_c, w_c, where=norm_c > 0.0)
 
+    def sweep(div) -> None:
+        # class 0's product is formed by the stop test, at the same W
+        z_c, sq_c, norm_c, w_c = head
+        vecdot(z_c, z_c, sq_c)
+        sqrt(sq_c, sq_c)
+        div(z_c, norm_c, w_c)
+        for rows, z_c, sq_c, norm_c, w_c in rest:
+            dot(rows, w, z_c)
+            vecdot(z_c, z_c, sq_c)
+            sqrt(sq_c, sq_c)
+            div(z_c, norm_c, w_c)
+
+    if classes:  # an edgeless graph has none, and its first test stops it (grad = 0)
+        rows_0, z_0, _, _, w_0 = classes[0]
+        head, rest = classes[0][1:], classes[1:]
+        part = grad[:len(z_0)]
+        flat = part.reshape(-1)  # a view, since grad's leading rows are contiguous
     cap = cfg.max_iter if cfg.max_iter is not None else 50 * g.n
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             bound = 0.0
             if classes:
-                rows, z_c, _, _, w_c = classes[0]
-                np.dot(rows, w, out=z_c)
-                part = grad[:len(z_c)]
-                np.multiply(z_c, 0.5, out=part)
-                part -= np.vecdot(part, w_c)[:, None] * w_c
-                bound = float(np.linalg.norm(part))
+                dot(rows_0, w, z_0)
+                multiply(z_0, 0.5, part)
+                part -= vecdot(part, w_0)[:, None] * w_0
+                bound = float(sqrt(flat @ flat))  # the reduction np.linalg.norm makes
             # class 0's share of the gradient norm bounds the whole from below;
             # twice tol leaves room for the two products' rounding
             if bound <= 2.0 * cfg.tol or iterations >= cap:
@@ -204,10 +220,10 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
                 if grad_norm <= cfg.tol or iterations >= cap:
                     break
             np.copyto(before, w)
-            sweep(masked=False)
+            sweep(divide)
             if not swept.all():  # a row with z_i = 0: redo the sweep, keeping it
                 np.copyto(w, before)
-                sweep(masked=True)
+                sweep(masked)
             iterations += 1
     vectors = np.empty_like(w)
     vectors[order] = w

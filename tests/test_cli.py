@@ -1,5 +1,8 @@
+import os
+import stat
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import pytest
@@ -268,6 +271,55 @@ def test_unwritable_out_fails_before_the_work(argv, work, k3_file, tmp_path, mon
     argv = [k3_file if a == "K3" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "missing" / "x.txt")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["run", "K3", "--method", "trevisan", "--eta0", "1000", "--samples", "64"], 2),
+    (["solve-sdp", "K3", "--rank", "1"], 1),
+], ids=["run-diverges", "solve-sdp-bad-rank"])
+def test_failed_command_leaves_out_as_it_was(argv, status, k3_file, tmp_path, capsys):
+    # both fail after --out is opened; they used to leave it truncated to 0 bytes
+    argv = [k3_file if a == "K3" else a for a in argv]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    keep = out_dir / "keep.txt"
+    keep.write_text("keep\n", encoding="utf-8")
+    assert main([*argv, "--out", str(keep)]) == status
+    assert main([*argv, "--out", str(out_dir / "new.txt")]) == status
+    # an --out that did not exist is not left behind
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+    assert keep.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_out_written_in_place_keeps_its_inode_mode_and_symlink(k3_file, tmp_path):
+    # --out is written over, not replaced: a hard link still shares it, its
+    # mode is kept, and a symlinked --out has its target written
+    target = tmp_path / "sol.txt"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    inode = target.stat().st_ino
+    (tmp_path / "hard.txt").hardlink_to(target)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["solve-sdp", k3_file, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text(encoding="utf-8").startswith("3 3 ")
+    assert target.stat().st_ino == inode and target.stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "hard.txt").read_text(encoding="utf-8") == target.read_text(encoding="utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.txt", "k3.mtx", "link.txt", "sol.txt"]
+
+
+def test_fifo_out_is_opened_once_and_stays_a_fifo(k3_file, tmp_path):
+    # a reader of a FIFO sees end of file at the first close, so a
+    # non-regular --out gets one open, no probe and no replacement
+    fifo = tmp_path / "sol.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")))
+    reader.start()
+    assert main(["solve-sdp", k3_file, "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert got and got[0].startswith("3 3 ")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_bench_bad_config_key_exits_1(tmp_path, capsys):

@@ -221,7 +221,8 @@ def test_graphs_past_the_exact_bound_are_rejected_before_scoring(block, monkeypa
 def test_float32_adjacency_is_built_once_and_read_only(c4):
     pair = c4._scoring_adjacency()
     u, c = pair
-    assert u.dtype == np.float32 and not u.flags.writeable and c == 0
+    # C_4's U holds two ones in its last column, so d = 2 and the rows pack with c = 8
+    assert u.dtype == np.float32 and not u.flags.writeable and c == 8
     assert np.array_equal(u, np.triu(c4.adjacency, 1))
     cut_values(c4, np.ones((3, 4), dtype=np.int8))
     assert c4._scoring_adjacency() is pair
@@ -289,7 +290,7 @@ def _paired_patterns(n, batch):
 
 @pytest.mark.parametrize("batch", [1, _SLICE - 1, _SLICE, _SLICE + 1,
                                    _PACKED_SLICE - 1, _PACKED_SLICE, _PACKED_SLICE + 1])
-@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 45])
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 45, 2, 3, _BLOCK // 2, _BLOCK])
 def test_packed_scoring_is_exact_on_complete_graphs(n, batch):
     # K_n's last column of U holds d = n - 1 ones, so an all-(+1) or all-(-1) row
     # reaches |s| = d there, the most the packing factor c > 2d must separate
@@ -325,13 +326,24 @@ def test_packed_scoring_reads_labels_of_any_real_dtype(dtype):
     assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
 
 
-def test_graphs_of_at_most_one_block_score_unpacked():
-    # packing at n <= _BLOCK was slower than the single product
-    for n, packs in [(_BLOCK, False), (_BLOCK + 1, True)]:
+def test_graphs_of_any_size_score_packed():
+    # packing is no slower than the single product down to n = 20, so no size
+    # below the float32 bound keeps one label row per product row
+    for n in [1, 2, _BLOCK, _BLOCK + 1]:
         g = generate_erdos_renyi(n, 1.0, 0)
         labels = _paired_patterns(n, _SLICE)
         assert cut_values(g, labels).tolist() == gather_cut_values(g, labels).tolist()
-        assert (g._scoring_adjacency()[1] > 0) == packs
+        assert g._scoring_adjacency()[1] == 1 << (2 * (n - 1)).bit_length()
+
+
+@pytest.mark.parametrize("batch", [1, _PACKED_SLICE - 1, _PACKED_SLICE, _PACKED_SLICE + 1])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK // 2, _BLOCK])
+def test_small_complete_graphs_pack_at_slice_boundaries(n, batch):
+    g = generate_erdos_renyi(n, 1.0, 0)
+    labels = np.random.default_rng(batch).integers(0, 2, size=(batch, n), dtype=np.int8) * 2 - 1
+    got = cut_values(g, labels)
+    assert g._scoring_adjacency()[1] > 0
+    assert got.tolist() == gather_cut_values(g, labels).tolist()
 
 
 @pytest.mark.parametrize("make, block, limit", [

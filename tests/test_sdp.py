@@ -146,6 +146,57 @@ def test_colour_classes_partition_into_independent_sets(n, p, seed):
         assert len(bounds) - 1 == (n if n > 1 else 0)
 
 
+def _smallest_last_colouring(g):
+    """_colour_classes written out on neighbour sets: the same order and bounds.
+
+    Remove a vertex of least degree among those left, the lowest-numbered on a
+    tie, until none is left; then colour in reverse removal order, each vertex
+    with the least colour none of its neighbours has. Classes list their
+    vertices in increasing order, and the isolated vertices follow the last.
+    """
+    neighbours = [set() for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    degree = [len(nb) for nb in neighbours]
+    left = set(range(g.n))
+    removal = []
+    while left:
+        v = min(left, key=lambda u: (degree[u], u))
+        left.remove(v)
+        removal.append(v)
+        for u in neighbours[v]:
+            degree[u] -= 1
+    colour = {}
+    for v in reversed(removal):
+        taken = {colour[u] for u in neighbours[v] if u in colour}
+        colour[v] = min(set(range(len(taken) + 1)) - taken)
+    coloured = [v for v in range(g.n) if neighbours[v]]
+    count = max((colour[v] for v in coloured), default=-1) + 1
+    classes = [[v for v in coloured if colour[v] == c] for c in range(count)]
+    order = [v for cls in classes for v in cls] + [v for v in range(g.n) if not neighbours[v]]
+    bounds = [0]
+    for cls in classes:
+        bounds.append(bounds[-1] + len(cls))
+    return order, bounds
+
+
+@given(st.integers(1, 60), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2 ** 31),
+       st.integers(0, 3), st.integers(0, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_colour_classes_match_smallest_last_written_out(n, p, seed, isolated, perm_seed):
+    # the sweep counts depend on the order, so a faster colouring must keep it;
+    # extra isolated vertices, shuffled in among the others, and the equal degrees
+    # of sparse, complete and edgeless graphs exercise the tie rule
+    er = generate_erdos_renyi(n, p, seed)
+    perm = np.random.default_rng(perm_seed).permutation(n + isolated)
+    g = Graph(n + isolated, perm[er.edges])
+    order, bounds = _colour_classes(g.adjacency)
+    want_order, want_bounds = _smallest_last_colouring(g)
+    assert order.tolist() == want_order
+    assert bounds.tolist() == want_bounds
+
+
 def _row_sweep(g, w, order):
     """One mixing sweep row by row: w_i = -z / |z| with z = sum_j A_ij w_j."""
     w = w.copy()
