@@ -152,8 +152,13 @@ class TrevisanCircuit:
     and M^2 shares the eigenvectors of M, in particular its minimum one. The
     cut is the sign pattern of the learned vector.
 
-    Its block buffers are two (_SLICE, n) arrays, where GwCircuit has one:
-    0.4 MB at n=100 and 2 MB at n=500, whatever the step count.
+    The LIF stage runs in float32: its weights are the float32 rounding of
+    M sqrt(1 - q^2), and its two (_SLICE, n) block buffers, where GwCircuit
+    has one, are float32 too: 0.2 MB at n=100 and 1 MB at n=500, whatever
+    the step count. The device draws are sample_steps' float64-uniform stream
+    and the learner's state stays float64, so float32 rounds only the
+    membranes, about 1e-6 relative after n-term sums, far below the smallest
+    eigengaps measured (4e-4).
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
@@ -161,12 +166,12 @@ class TrevisanCircuit:
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
         weights = trevisan_matrix(graph)
         weights *= np.sqrt(1.0 - q * q)
-        self.pop = LifPopulation(weights, alpha=config.alpha)
+        self.pop = LifPopulation(weights.astype(np.float32), alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
         # every run_steps block is drawn into _states and integrated into _membranes
-        self._states = np.empty((_SLICE, graph.n))
-        self._membranes = np.empty((_SLICE, graph.n))
+        self._states = np.empty((_SLICE, graph.n), np.float32)
+        self._membranes = np.empty((_SLICE, graph.n), np.float32)
 
     def run_steps(self, count: int) -> None:
         """Advance count steps, one device block of up to _SLICE draws at a time.
@@ -182,8 +187,8 @@ class TrevisanCircuit:
         draws, since _SLICE is a multiple of both chunk sizes and the device
         stream is sequential. Only the drive GEMM's rows are split, and
         whether that moves its last bits depends on the BLAS kernel: with
-        OpenBLAS 0.3.31 it moved none for n <= 192, and some for n = 255,
-        350 and 500.
+        OpenBLAS 0.3.31's float32 kernels it moved none for any n tried, up
+        to 500.
         """
         count = _whole(count, "count", least=1)
         done = 0

@@ -37,34 +37,46 @@ def _check_probability(p) -> None:
 class DevicePool:
     """count independent fair ±1 devices, redrawn on every timestep.
 
-    The pool has two readers of one generator. sample_steps spends one float
-    per device state. sample_epochs spends one 64-bit generator word per 64
-    states. Each is a pure function of the seed and of how much that reader
-    has drawn so far, so a pool advanced k steps (or epochs) and a fresh pool
-    fast-forwarded k steps (or epochs) produce the same next draw. A circuit
-    uses one reader; mixing both on one pool interleaves their positions.
+    The pool has two readers of one generator. sample_steps spends one
+    float64 uniform per device state, whatever dtype it writes. sample_epochs
+    spends one 64-bit generator word per 64 states. Each is a pure function
+    of the seed and of how much that reader has drawn so far, so a pool
+    advanced k steps (or epochs) and a fresh pool fast-forwarded k steps (or
+    epochs) produce the same next draw. A circuit uses one reader; mixing
+    both on one pool interleaves their positions.
     """
 
     def __init__(self, count: int, seed: int = 0):
         self.count = _whole(count, "count", least=1)
         self._rng = np.random.default_rng(_whole(seed, "seed"))
+        # float64 uniforms behind a float32 out, grown to the largest block asked for
+        self._uniforms = np.empty(0)
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """(steps, count) float array of ±1; row k equals the k-th sequential draw.
 
-        With out, a C-contiguous (steps, count) float64 array, the states are
-        written into it and out itself is returned: the result aliases the
-        caller's buffer, and the next call that fills the buffer overwrites it.
-        The draws are the same either way.
+        With out, a C-contiguous (steps, count) float64 or float32 array, the
+        states are written into it and out itself is returned: the result
+        aliases the caller's buffer, and the next call that fills the buffer
+        overwrites it. Either dtype spends the same float64 uniforms, so the
+        states and the generator's position do not depend on it; a float32
+        out takes them through the pool's own scratch buffer.
         """
         steps = _whole(steps, "steps", least=1)
         if out is None:
             out = np.empty((steps, self.count))
         elif out.shape != (steps, self.count):
             raise ValueError(f"out has shape {out.shape}, expected ({steps}, {self.count})")
-        self._rng.random(out=out)
+        elif out.dtype not in (np.float64, np.float32):
+            raise ValueError(f"out has dtype {out.dtype}, expected float64 or float32")
+        uniforms = out
+        if out.dtype == np.float32:
+            if self._uniforms.size < out.size:
+                self._uniforms = np.empty(out.size)
+            uniforms = self._uniforms[:out.size].reshape(out.shape)
+        self._rng.random(out=uniforms)
         # the uniform draw becomes 1.0 below one half and 0.0 above, then ±1
-        np.less(out, 0.5, out=out)
+        np.less(uniforms, 0.5, out=out)
         out *= 2.0
         out -= 1.0
         return out

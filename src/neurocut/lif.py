@@ -29,22 +29,31 @@ class LifPopulation:
     membrane signs. Any positive factor on the drive would scale every
     membrane by the same constant, which no sign read can see, so the drive
     is W s itself.
+
+    The population integrates in its weights' float dtype: float32 weights
+    give float32 drive, leak kernel and membranes, and any other weights are
+    taken as float64.
     """
 
     def __init__(self, weights, alpha: float = 0.05):
-        w = np.array(weights, dtype=float)
+        single = isinstance(weights, np.ndarray) and weights.dtype == np.float32
+        dtype = np.float32 if single else np.float64
+        w = np.array(weights, dtype=dtype)
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array (units x devices)")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite; got a nan or inf entry")
         w.setflags(write=False)
         self.alpha = _check_leak(alpha)
         self.weights = w
         self.n, self.r = w.shape
-        self.V = np.zeros(self.n)
+        self.V = np.zeros(self.n, dtype)
         q = 1.0 - self.alpha
         lag = np.subtract.outer(np.arange(_CHUNK), np.arange(_CHUNK))
-        # _leak[i, j] = q^(i-j) on and below the diagonal; _carry[i] = q^(i+1)
-        self._leak = np.tril(q ** np.abs(lag))
-        self._carry = q ** np.arange(1, _CHUNK + 1)
+        # _leak[i, j] = q^(i-j) on and below the diagonal; _carry[i] = q^(i+1);
+        # both formed in float64, then rounded once to the weights' dtype
+        self._leak = np.tril(q ** np.abs(lag)).astype(dtype)
+        self._carry = (q ** np.arange(1, _CHUNK + 1)).astype(dtype)
 
     def step(self, states, out: np.ndarray | None = None) -> np.ndarray:
         """Advance one timestep per row of a (T, r) state block; returns the (T, n) membranes.
@@ -56,24 +65,28 @@ class LifPopulation:
         lower-triangular Toeplitz matrix of q^(i-j) and V_prev the membrane
         before the chunk, so the result agrees with the row-by-row recurrence
         to rounding, not bit for bit. A chunk's drive is copied to a
-        _CHUNK-row scratch first, so V overwrites D in place.
+        _CHUNK-row scratch first, so V overwrites D in place. The states are
+        taken in the weights' dtype, which holds ±1 exactly.
 
-        With out, a (T, n) float64 array, the membranes are written into it
-        and out itself is returned, so the result aliases the caller's buffer
-        and the next call that fills it overwrites them. The live membrane is
-        a copy of the last row either way. Without out the block gets a fresh
-        array.
+        With out, a (T, n) array of the weights' dtype, the membranes are
+        written into it and out itself is returned, so the result aliases the
+        caller's buffer and the next call that fills it overwrites them. The
+        live membrane is a copy of the last row either way. Without out the
+        block gets a fresh array.
         """
-        s = np.asarray(states, dtype=float)
+        dtype = self.weights.dtype
+        s = np.asarray(states, dtype=dtype)
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"device states have shape {s.shape}, expected (T, {self.r})")
         shape = (len(s), self.n)
         if out is None:
-            out = np.empty(shape)
+            out = np.empty(shape, dtype)
         elif out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        elif out.dtype != dtype:
+            raise ValueError(f"out has dtype {out.dtype}, expected {dtype}")
         np.matmul(s, self.weights.T, out=out)
-        scratch = np.empty((min(_CHUNK, len(out)), self.n))
+        scratch = np.empty((min(_CHUNK, len(out)), self.n), dtype)
         prev = self.V
         for start in range(0, len(out), _CHUNK):
             chunk = out[start:start + _CHUNK]

@@ -42,6 +42,8 @@ class OjaState:
         self.w = np.array(w, dtype=float)
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")
+        if not np.isfinite(self.w).all() or not self.w.any():
+            raise ValueError("w must be finite and not all zero; a zero start stays zero")
         self.t = 0
         self._wnorm2 = float(self.w @ self.w)
 
@@ -60,8 +62,10 @@ class OjaState:
     def update(self, x) -> np.ndarray:
         """Apply one anti-Hebbian update per input in place; returns the live w.
 
-        An (n,) input applies one update with two dots and an axpy, which
-        costs less than a one-row sub-block. A (b, n) block applies b
+        Input of any float dtype is taken as float64, once per call: a view
+        of a float64 block, one copy of a float32 one, so w and the scalar
+        arithmetic stay float64. An (n,) input applies one update with two
+        dots and an axpy, which costs less than a one-row sub-block. A (b, n) block applies b
         sequential updates, row by row, in sub-blocks of up to _SUB rows.
         A sub-block X with start vector w0 runs in delayed (Gram) form:
         p = X w0 and G = X X^T are two products, w_t = s_t (w0 - sum_{k<t}

@@ -19,8 +19,8 @@ from pathlib import Path
 import neurocut
 import neurocut.bench as bench
 import neurocut.circuits as circuits
-from neurocut import (BENCH_METHODS, CircuitConfig, ExperimentConfig, LifPopulation, OjaState,
-                      SdpSolution, SolverConfig, TrevisanCircuit, generate_erdos_renyi,
+from neurocut import (BENCH_METHODS, CircuitConfig, DevicePool, ExperimentConfig, LifPopulation,
+                      OjaState, SdpSolution, SolverConfig, TrevisanCircuit, generate_erdos_renyi,
                       run_experiment)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -68,10 +68,11 @@ def test_harness_calls_through_desk_hook_bindings(monkeypatch):
 
 
 def test_learner_calls_through_traced_class_attributes(monkeypatch):
-    # the tracer times the learner's layers by wrapping these two class
-    # attributes, so a block must reach both through them
+    # the tracer times the learner's layers by wrapping these three class
+    # attributes, so a block must reach each through them
     calls = Counter()
-    for owner, name in ((LifPopulation, "step"), (OjaState, "update")):
+    for owner, name in ((DevicePool, "sample_steps"), (LifPopulation, "step"),
+                        (OjaState, "update")):
         original = vars(owner)[name]
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -80,7 +81,7 @@ def test_learner_calls_through_traced_class_attributes(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     TrevisanCircuit(generate_erdos_renyi(10, 0.5, 1), seed=3).run_steps(5000)
-    assert calls["step"] == calls["update"] >= 1
+    assert calls["sample_steps"] == calls["step"] == calls["update"] >= 1
 
 
 def test_workload_solver_keywords_are_fields():

@@ -225,7 +225,14 @@ def test_trevisan_c4_sign_pattern(c4):
     assert labels in {(1, -1, 1, -1), (-1, 1, -1, 1)}
 
 
-def assert_same_learner(a, b, rel=1e-12):
+# The learner's block schedules differ only in rounding, which the learner
+# carries by a factor that does not depend on the precision. With a float64
+# LIF stage they agree within 1e-12, about 2^13 units of float64's roundoff
+# (2^-53), so the float32 stage is held to 2^13 units of float32's (2^-24).
+LEARNER_REL = 2.0 ** 13 * 2.0 ** -24
+
+
+def assert_same_learner(a, b, rel=LEARNER_REL):
     """Weights and membranes within rel of b's largest entry, and the same cut."""
     assert a.oja.t == b.oja.t
     for x, y in ((a.oja.w, b.oja.w), (a.pop.V, b.pop.V)):
@@ -234,7 +241,7 @@ def assert_same_learner(a, b, rel=1e-12):
 
 
 def test_trevisan_step_equals_run_steps(k3):
-    # blocks split the rounding differently, so agreement is to 1e-12
+    # blocks split the rounding differently, so agreement is to LEARNER_REL
     a = TrevisanCircuit(k3, seed=4)
     b = TrevisanCircuit(k3, seed=4)
     for _ in range(50):
@@ -288,15 +295,38 @@ def test_trevisan_run_steps_replays_its_block_calls_bit_for_bit():
 def test_trevisan_slice_blocks_replay_batch_blocks_bit_for_bit():
     # _SLICE is a multiple of the leak chunk and the Gram sub-block, and the
     # device stream is sequential, so at n=100 only the drive GEMM's row
-    # split could tell _SLICE-row blocks from _BATCH-row ones
+    # split could tell _SLICE-row blocks from _BATCH-row ones; the guard
+    # runs that product as the circuit does, in float32
     g = generate_erdos_renyi(100, 0.5, 1)
     weights = TrevisanCircuit(g, seed=3).pop.weights
-    s = DevicePool(g.n, seed=1).sample_steps(_BATCH)
+    assert weights.dtype == np.float32
+    s = DevicePool(g.n, seed=1).sample_steps(_BATCH, out=np.empty((_BATCH, g.n), np.float32))
     whole = s @ weights.T
     if any(not np.array_equal(s[i:i + _SLICE] @ weights.T, whole[i:i + _SLICE])
            for i in range(0, _BATCH, _SLICE)):
         pytest.skip("this BLAS rounds a row slice of the drive GEMM differently from the whole")
     assert_replays_bit_for_bit(g, [_BATCH, _BATCH, 77])
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 5000])
+def test_trevisan_draws_the_device_stream_in_float32(k3, count, monkeypatch):
+    # run_steps leaves the generator where sample_steps(count) leaves a fresh
+    # pool, and integrates exactly its rows, as float32
+    circ = TrevisanCircuit(k3, seed=6)
+    fed = []
+    step = circ.pop.step
+
+    def recorded(states, out=None):
+        fed.append(states.copy())
+        return step(states, out=out)
+
+    monkeypatch.setattr(circ.pop, "step", recorded)
+    circ.run_steps(count)
+    fresh = DevicePool(k3.n, seed=derive_seed(6, "devices"))
+    want = fresh.sample_steps(count)
+    assert all(block.dtype == np.float32 for block in fed)
+    assert np.array_equal(np.vstack(fed), want)
+    assert circ.pool._rng.bit_generator.state == fresh._rng.bit_generator.state
 
 
 def test_trevisan_run_steps_allocates_no_block():
@@ -391,11 +421,15 @@ def test_trevisan_divergence_raises_no_ieee_warning(k3):
 def test_trevisan_input_scale_undoes_stationary_variance(petersen):
     # the sqrt(1 - q^2) input scale sits in the LIF weights W, so the membranes'
     # stationary covariance W W^T / (1 - q^2), with fair unit-variance
-    # devices, is M^2 and not the leak's gain times M^2
+    # devices, is M^2 and not the leak's gain times M^2. W is the float32
+    # rounding of that product, each entry within float32's unit u = 2^-24,
+    # and M >= 0, so every entry of W W^T / (1 - q^2), formed in float64, is
+    # within (2u + u^2) of M^2's entry; 3u also covers the float64 steps
     circ = TrevisanCircuit(petersen, seed=0)
     m = trevisan_matrix(petersen)
-    w, q = circ.pop.weights, 1.0 - circ.pop.alpha
-    assert np.max(np.abs(w @ w.T / (1.0 - q * q) - m @ m)) <= 1e-12
+    w, q = circ.pop.weights.astype(float), 1.0 - circ.pop.alpha
+    mm = m @ m
+    assert np.all(np.abs(w @ w.T / (1.0 - q * q) - mm) <= 3 * 2.0 ** -24 * mm)
 
 
 def _without_edges_at(g, isolated):
@@ -414,7 +448,8 @@ def test_trevisan_weights_are_the_scaled_matrix_bit_for_bit(make, alpha):
     assert g.n == 1 or np.any(g.degrees == 0)
     q = 1.0 - alpha
     circ = TrevisanCircuit(g, seed=1, config=CircuitConfig(alpha=alpha))
-    assert circ.pop.weights.tobytes() == (trevisan_matrix(g) * np.sqrt(1 - q * q)).tobytes()
+    scaled = (trevisan_matrix(g) * np.sqrt(1 - q * q)).astype(np.float32)
+    assert circ.pop.weights.tobytes() == scaled.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])

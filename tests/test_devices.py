@@ -41,6 +41,28 @@ def test_sample_steps_into_a_buffer_equals_a_fresh_draw(steps):
         pool.sample_steps(steps, out=buf[:steps, :8])
 
 
+@pytest.mark.parametrize("steps", [1, 77, 4096])
+def test_float32_out_spends_the_float64_stream(steps):
+    # the same uniforms, so the same states and the same generator position
+    pool, ref = DevicePool(9, seed=31), DevicePool(9, seed=31)
+    buf = np.full((4096, 9), np.nan, dtype=np.float32)
+    for k in (steps, 3, steps):  # a smaller block reuses the scratch, a larger one grows it
+        got = pool.sample_steps(k, out=buf[:k])
+        assert np.shares_memory(got, buf) and got.dtype == np.float32
+        assert np.array_equal(got, ref.sample_steps(k))
+        assert pool._rng.bit_generator.state == ref._rng.bit_generator.state
+    # and a float64 draw continues from there
+    assert np.array_equal(pool.sample_steps(5), ref.sample_steps(5))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int8, np.int64, np.complex128])
+def test_sample_steps_rejects_other_dtypes(dtype):
+    pool = DevicePool(3, seed=1)
+    with pytest.raises(ValueError, match="dtype"):
+        pool.sample_steps(4, out=np.zeros((4, 3), dtype=dtype))
+    assert np.array_equal(pool.sample_steps(2), DevicePool(3, seed=1).sample_steps(2))
+
+
 def test_distinct_seeds_distinct_streams():
     a = DevicePool(16, seed=0).sample_steps(50)
     b = DevicePool(16, seed=1).sample_steps(50)

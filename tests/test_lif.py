@@ -4,6 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurocut import DevicePool, LifPopulation
+from neurocut.lif import _CHUNK
+
+U32 = 2.0 ** -24  # float32's unit roundoff
+
+
+def gamma32(k):
+    """Higham's gamma_k = k u / (1 - k u) in float32: the relative error bound of a k-term dot."""
+    return k * U32 / (1.0 - k * U32)
 
 
 def make_pop(n=3, r=2, seed=0, **kwargs):
@@ -85,6 +93,57 @@ def test_step_block_equals_row_loop(n, r, steps, seed, alpha):
     assert_rel_close(out, recurrence(w, states, alpha, v0))
     assert block.V is live
     assert np.array_equal(block.V, out[-1])
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2 ** 31),
+       st.floats(0.01, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_float32_block_follows_the_float64_recurrence(n, r, steps, seed, alpha):
+    # The reference is the float64 row recurrence on the same float32 weights
+    # and start, so only the float32 arithmetic is measured. A membrane is a
+    # leak-weighted sum of drives of at most rho = max_i sum_j |W_ij| each,
+    # plus the decayed start: at most rho / alpha + max |V0|. Within a chunk,
+    # every entry is rounded by the drive's r-term dot, the leak product's
+    # dot of at most _CHUNK terms, the rounded kernel and carry entries, and
+    # the carry's multiply and add: at most gamma(r + _CHUNK + 4) of that
+    # scale. The carry hands a chunk's last-row error on at most q^_CHUNK
+    # smaller, and a row at most q smaller, so the errors sum to at most
+    # 2 / (1 - q^_CHUNK) chunk errors.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, r)).astype(np.float32)
+    v0 = rng.standard_normal(n).astype(np.float32)
+    states = DevicePool(r, seed=seed).sample_steps(steps)
+    pop = LifPopulation(w, alpha=alpha)
+    pop.V[:] = v0
+    out = pop.step(states)
+    assert out.dtype == pop.V.dtype == pop.weights.dtype == np.float32
+    assert np.array_equal(pop.V, out[-1])
+    want = recurrence(w.astype(float), states, alpha, v0.astype(float))
+    q = 1.0 - alpha
+    scale = np.abs(w.astype(float)).sum(axis=1).max() / alpha + np.abs(v0).max()
+    bound = gamma32(r + _CHUNK + 4) * scale * 2.0 / (1.0 - q ** _CHUNK)
+    assert np.max(np.abs(out - want)) <= bound
+
+
+def test_weights_set_the_dtype():
+    for weights in ([[1, 2]], np.ones((1, 2), dtype=np.int32), np.ones((1, 2), dtype=np.float16)):
+        pop = LifPopulation(weights)
+        assert pop.weights.dtype == pop.V.dtype == pop.step(np.ones((3, 2))).dtype == np.float64
+    pop = LifPopulation(np.ones((1, 2), dtype=np.float32))
+    # float64 states are taken as float32, which holds ±1 exactly
+    assert pop.step(np.ones((3, 2))).dtype == np.float32
+    with pytest.raises(ValueError, match="dtype float64, expected float32"):
+        pop.step(np.ones((3, 2)), out=np.empty((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_non_finite_weights_are_rejected(bad, dtype):
+    # they would integrate into NaN membranes
+    weights = np.ones((2, 3), dtype=dtype)
+    weights[1, 2] = bad
+    with pytest.raises(ValueError, match="^weights must be finite"):
+        LifPopulation(weights)
 
 
 def test_step_block_into_a_buffer_equals_a_fresh_block():

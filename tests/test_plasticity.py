@@ -29,6 +29,26 @@ def test_state_validation():
         st1.update(np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("w", [[np.nan, 1.0], [1.0, np.inf], [0.0, 0.0], [-0.0]])
+def test_state_rejects_a_start_it_cannot_learn_from(w):
+    # a NaN start would surface as a divergence after one update, and a zero
+    # start never moves
+    with pytest.raises(ValueError, match="^w must be finite and not all zero"):
+        OjaState(w)
+
+
+def test_float32_block_updates_as_its_float64_values():
+    # a float32 block is taken as float64 once, so it trains bit for bit as
+    # the same values in float64, and w stays float64
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3 * _SUB + 5, 6)).astype(np.float32)
+    single, double = OjaState(np.ones(6)), OjaState(np.ones(6))
+    single.update(x)
+    double.update(x.astype(float))
+    assert single.w.dtype == np.float64
+    assert single.w.tobytes() == double.w.tobytes()
+
+
 def test_eta_schedule():
     state = OjaState([1.0, 0.0], eta0=0.01, tau=100.0)
     assert state.eta == pytest.approx(0.01)
