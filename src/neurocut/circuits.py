@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .devices import DevicePool, _whole
+from .devices import DevicePool, _out, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
 from .lif import LifPopulation, _check_leak
 from .oracles import reference_hyperplane_rounds
@@ -58,6 +58,13 @@ class CircuitConfig:
         _whole(self.rank, "rank", least=2)
 
 
+def _fitted(solution: SdpSolution, graph: Graph) -> SdpSolution:
+    """solution, if it holds one vector per vertex of graph; else ValueError naming both sizes."""
+    if solution.n != graph.n:
+        raise ValueError(f"solution has {solution.n} vectors for a graph of {graph.n} vertices")
+    return solution
+
+
 class GwCircuit:
     """Rounding sampler: device pool -> LIF units weighted by the relaxation rows.
 
@@ -74,13 +81,11 @@ class GwCircuit:
 
     def __init__(self, graph: Graph, solution: SdpSolution, seed: int,
                  config: CircuitConfig = CircuitConfig()):
-        if solution.vectors.shape[0] != graph.n:
-            raise ValueError("solution size does not match the graph")
         self.graph = graph
         self.config = config
-        self.pool = DevicePool(solution.rank, seed=seed)
-        self._weights = np.array(solution.vectors, dtype=float)
+        self._weights = np.array(_fitted(solution, graph).vectors, dtype=float)
         self._weights.setflags(write=False)
+        self.pool = DevicePool(self._weights.shape[1], seed=seed)
         k = config.epoch_steps
         q = 1.0 - float(config.alpha)
         # closed-form weight of step t in the end-of-epoch membrane, t = 0..k-1,
@@ -99,17 +104,14 @@ class GwCircuit:
     def epoch_membranes(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """(count, n) end-of-epoch membrane vectors, one reset epoch per row.
 
-        With out, a C-contiguous (count, n) float64 array, the membranes are
-        written into it and out itself is returned: the result aliases the
-        caller's buffer, and the next call that fills the buffer overwrites
-        it. The epochs are the same either way. A count that is not a
-        positive integer raises ValueError.
+        With out, a (count, n) float64 array, the membranes are written into
+        it and out itself is returned: the result aliases the caller's buffer,
+        and the next call that fills the buffer overwrites it. The epochs are
+        the same either way. A count that is not a positive integer, or an out
+        of another shape or dtype, raises ValueError before any epoch is drawn.
         """
         count = _whole(count, "count", least=1)
-        if out is None:
-            out = np.empty((count, self.graph.n))
-        elif out.shape != (count, self.graph.n):
-            raise ValueError(f"out has shape {out.shape}, expected ({count}, {self.graph.n})")
+        out = _out(out, (count, self.graph.n), np.float64)
         codes = self.pool.sample_epochs(count, self.config.epoch_steps)
         # parts[..., j] = _table[j, codes[..., j]], every byte's share from one
         # take; the shares are added in byte order from zero, the order of sum()
@@ -155,10 +157,10 @@ class TrevisanCircuit:
     The LIF stage runs in float32: its weights are the float32 rounding of
     M sqrt(1 - q^2), and its two (_SLICE, n) block buffers, where GwCircuit
     has one, are float32 too: 0.2 MB at n=100 and 1 MB at n=500, whatever
-    the step count. The device draws are sample_steps' float64-uniform stream
-    and the learner's state stays float64, so float32 rounds only the
-    membranes, about 1e-6 relative after n-term sums, far below the smallest
-    eigengaps measured (4e-4).
+    the step count. The device states, one generator word's top bit each,
+    are exact in float32, and the learner's state stays float64, so float32
+    rounds only the membranes: about 1e-6 relative after n-term sums, far
+    below the smallest eigengaps measured (4e-4).
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
@@ -341,6 +343,6 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     elif method == "gw":
         sampler = GwCircuit(graph, solution, derive_seed(seed, "gw-devices"), config).sample_cuts
     else:
-        sampler = partial(reference_hyperplane_rounds, solution.vectors,
+        sampler = partial(reference_hyperplane_rounds, _fitted(solution, graph).vectors,
                           rng=np.random.default_rng(seed))
     return trajectory_from_sampler(graph, sampler, total_samples, method, seed, graph_id)

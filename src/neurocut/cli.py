@@ -87,12 +87,10 @@ def _graph_args(p) -> None:
     p.add_argument("graph", help="graph file")
     p.add_argument("--graph-format", choices=["auto", "edge-list", "matrix-market"],
                    default="auto")
-    p.add_argument("--zero-indexed", action="store_true",
-                   help="edge-list vertex ids start at 0 instead of 1")
 
 
 def _load(args):
-    return load_graph(args.graph, args.graph_format, args.zero_indexed)
+    return load_graph(args.graph, args.graph_format)
 
 
 @contextmanager

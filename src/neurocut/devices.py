@@ -21,6 +21,18 @@ def _whole(value, name: str, least: int | None = None) -> int:
     return whole
 
 
+def _out(out, shape: tuple, *dtypes) -> np.ndarray:
+    """out, or a fresh array of shape and dtypes[0] if None; ValueError for another shape or dtype."""
+    if out is None:
+        return np.empty(shape, dtypes[0])
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    if out.dtype not in dtypes:
+        names = " or ".join(np.dtype(d).name for d in dtypes)
+        raise ValueError(f"out has dtype {out.dtype}, expected {names}")
+    return out
+
+
 def _real(value, name: str) -> float:
     """value as a float; ValueError unless it is a real number (True, "0.5" and None are not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -37,46 +49,35 @@ def _check_probability(p) -> None:
 class DevicePool:
     """count independent fair ±1 devices, redrawn on every timestep.
 
-    The pool has two readers of one generator. sample_steps spends one
-    float64 uniform per device state, whatever dtype it writes. sample_epochs
-    spends one 64-bit generator word per 64 states. Each is a pure function
-    of the seed and of how much that reader has drawn so far, so a pool
-    advanced k steps (or epochs) and a fresh pool fast-forwarded k steps (or
-    epochs) produce the same next draw. A circuit uses one reader; mixing
-    both on one pool interleaves their positions.
+    The pool reads one source, its generator's raw 64-bit words, at two
+    densities. sample_steps spends one word per device state: the state is
+    +1 where the word is below 2^63, its top bit clear. That is the state
+    random() < 0.5 gives from the same word, since numpy's uniform is
+    (word >> 11) 2^-53. sample_epochs spends one word per 64 states. Each is
+    a pure function of the seed and of how many words the pool has spent, so
+    a pool advanced k steps (or epochs) and a fresh pool fast-forwarded k
+    steps (or epochs) produce the same next draw. A circuit uses one reader;
+    mixing both on one pool interleaves their positions.
     """
 
     def __init__(self, count: int, seed: int = 0):
         self.count = _whole(count, "count", least=1)
         self._rng = np.random.default_rng(_whole(seed, "seed"))
-        # float64 uniforms behind a float32 out, grown to the largest block asked for
-        self._uniforms = np.empty(0)
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """(steps, count) float array of ±1; row k equals the k-th sequential draw.
 
-        With out, a C-contiguous (steps, count) float64 or float32 array, the
-        states are written into it and out itself is returned: the result
-        aliases the caller's buffer, and the next call that fills the buffer
-        overwrites it. Either dtype spends the same float64 uniforms, so the
-        states and the generator's position do not depend on it; a float32
-        out takes them through the pool's own scratch buffer.
+        With out, a (steps, count) float64 or float32 array, the states are
+        written into it and out itself is returned: the result aliases the
+        caller's buffer, and the next call that fills the buffer overwrites
+        it. Either dtype spends the same words, so the states and the
+        generator's position do not depend on it.
         """
         steps = _whole(steps, "steps", least=1)
-        if out is None:
-            out = np.empty((steps, self.count))
-        elif out.shape != (steps, self.count):
-            raise ValueError(f"out has shape {out.shape}, expected ({steps}, {self.count})")
-        elif out.dtype not in (np.float64, np.float32):
-            raise ValueError(f"out has dtype {out.dtype}, expected float64 or float32")
-        uniforms = out
-        if out.dtype == np.float32:
-            if self._uniforms.size < out.size:
-                self._uniforms = np.empty(out.size)
-            uniforms = self._uniforms[:out.size].reshape(out.shape)
-        self._rng.random(out=uniforms)
-        # the uniform draw becomes 1.0 below one half and 0.0 above, then ±1
-        np.less(uniforms, 0.5, out=out)
+        out = _out(out, (steps, self.count), np.float64, np.float32)
+        words = self._rng.bit_generator.random_raw(out.size).reshape(out.shape)
+        # the word becomes 1.0 below 2^63 and 0.0 from there, then ±1
+        np.less(words, 1 << 63, out=out)
         out *= 2.0
         out -= 1.0
         return out

@@ -14,8 +14,8 @@ from .devices import _check_probability, _whole
 # (one BLAS thread, 2-core x86-64 VM, best of 30 interleaved calls in each of
 # three processes) took 8.8-9.0 ms in packed slices of 384, 512 or 768 label
 # rows, 9.5-9.8 in 256, 9.0-9.3 in 1024 and 11.5-12.5 in 2048, where Y, Z and
-# U (1 MB at n=500) outgrow a core's 2 MB L2. Unpacked slices stay at 256
-# rows: 512 there raised perfbench desk's peak_rss_mb by 0.16 MB.
+# U (1 MB at n=500) outgrow a core's 2 MB L2. Only a graph with a vertex of
+# >= 2,048 lower-numbered neighbours, or m >= 2^24, scores unpacked (untimed).
 _SLICE = 256
 # Vertices per column block of U in _walk.
 _BLOCK = 128
@@ -261,19 +261,20 @@ def trevisan_matrix(g: Graph) -> np.ndarray:
     return mat
 
 
-def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
+def load_graph(path, fmt: str = "auto") -> Graph:
     """Load an undirected graph from an edge-list or Matrix Market file.
 
     Self-loops are dropped and duplicate and reversed edges merge. An optional
     third token is a weight: 1 means an edge and 0 means no edge. Any other
     weight (2.5, 0.7, -1, nan), or a fourth token, raises ParseError naming
     its line, since the graph is unweighted and would misread it. Edge lists carry no vertex
-    count, so ids are remapped to 0..n-1 in first-appearance order; Matrix
-    Market files declare the size and keep isolated vertices, and their entry
-    lines must number exactly the declared nnz. A Matrix Market banner that is
-    not coordinate, or whose field is complex, raises ParseError naming it.
-    Edge-list ids start at 1, or at 0 with zero_indexed. fmt='auto' picks
-    matrix-market for a .mtx suffix and edge-list otherwise.
+    count, so their ids, any non-negative integers, are remapped to 0..n-1 in
+    first-appearance order: 0- and 1-based lists of one graph load alike. A
+    negative id raises ParseError naming its line. Matrix Market files
+    declare the size and keep isolated vertices, and their entry lines must
+    number exactly the declared nnz. A Matrix Market banner that is not
+    coordinate, or whose field is complex, raises ParseError naming it.
+    fmt='auto' picks matrix-market for a .mtx suffix and edge-list otherwise.
     """
     path = os.fspath(path)
     if fmt == "auto":
@@ -281,7 +282,7 @@ def load_graph(path, fmt: str = "auto", zero_indexed: bool = False) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if fmt == "edge-list":
-        return _parse_edge_list(lines, 0 if zero_indexed else 1)
+        return _parse_edge_list(lines)
     if fmt == "matrix-market":
         return _parse_matrix_market(lines)
     raise ValueError(f"unknown graph format {fmt!r}")
@@ -312,7 +313,7 @@ def _split_entry(raw: str, lineno: int):
     return u, v, w == 1.0
 
 
-def _parse_edge_list(lines, base: int) -> Graph:
+def _parse_edge_list(lines) -> Graph:
     order: dict[int, int] = {}
     edges = []
     saw_data = False
@@ -322,8 +323,8 @@ def _parse_edge_list(lines, base: int) -> Graph:
             continue
         saw_data = True
         u, v, is_edge = _split_entry(stripped, lineno)
-        if u < base or v < base:
-            raise ParseError(f"vertex id below base {base}", lineno)
+        if u < 0 or v < 0:
+            raise ParseError("negative vertex id", lineno)
         if not is_edge:
             continue
         for vid in (u, v):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .devices import _real
+from .devices import _out, _real
 
 # Rows per leak chunk of a state block: the chunk's leak kernel is an
 # (_CHUNK, _CHUNK) lower-triangular matrix, applied as one small GEMM.
@@ -78,13 +78,7 @@ class LifPopulation:
         s = np.asarray(states, dtype=dtype)
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"device states have shape {s.shape}, expected (T, {self.r})")
-        shape = (len(s), self.n)
-        if out is None:
-            out = np.empty(shape, dtype)
-        elif out.shape != shape:
-            raise ValueError(f"out has shape {out.shape}, expected {shape}")
-        elif out.dtype != dtype:
-            raise ValueError(f"out has dtype {out.dtype}, expected {dtype}")
+        out = _out(out, (len(s), self.n), dtype)
         np.matmul(s, self.weights.T, out=out)
         scratch = np.empty((min(_CHUNK, len(out)), self.n), dtype)
         prev = self.V

@@ -54,7 +54,6 @@ class SolverConfig:
 @dataclass
 class SdpSolution:
     vectors: np.ndarray  # (n, r), unit rows
-    rank: int
     objective: float
     grad_norm: float | None
     iterations: int | None
@@ -63,6 +62,10 @@ class SdpSolution:
     @property
     def n(self) -> int:
         return int(self.vectors.shape[0])
+
+    @property
+    def rank(self) -> int:
+        return int(self.vectors.shape[1])
 
 
 def effective_rank(rank: int, n: int) -> int:
@@ -227,7 +230,7 @@ def solve_gw_sdp(g: Graph, rank: int = 4, config: SolverConfig | None = None) ->
             iterations += 1
     vectors = np.empty_like(w)
     vectors[order] = w
-    return SdpSolution(vectors, r, _objective(g, vectors), grad_norm, iterations,
+    return SdpSolution(vectors, _objective(g, vectors), grad_norm, iterations,
                        grad_norm <= cfg.tol)
 
 

@@ -82,8 +82,7 @@ def test_gw_epoch_equals_decay_weighted_unpacked_bits(k, r, alpha, seed):
     n = 5
     vectors = np.random.default_rng(seed).standard_normal((n, r))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    sol = SdpSolution(vectors, rank=r, objective=0.0, grad_norm=None, iterations=None,
-                      converged=True)
+    sol = SdpSolution(vectors, objective=0.0, grad_norm=None, iterations=None, converged=True)
     circ = GwCircuit(Graph(n, []), sol, seed, CircuitConfig(alpha=alpha, epoch_steps=k))
     membranes = circ.epoch_membranes(9)
     bits = np.unpackbits(DevicePool(r, seed=seed).sample_epochs(9, k), axis=2, count=k,
@@ -102,8 +101,7 @@ def test_gw_epoch_drive_adds_the_byte_lookups_in_byte_order(k, r, count, seed):
     n = 6
     vectors = np.random.default_rng(seed).standard_normal((n, r))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    sol = SdpSolution(vectors, rank=r, objective=0.0, grad_norm=None, iterations=None,
-                      converged=True)
+    sol = SdpSolution(vectors, objective=0.0, grad_norm=None, iterations=None, converged=True)
     circ = GwCircuit(Graph(n, []), sol, seed, CircuitConfig(epoch_steps=k))
     codes = DevicePool(r, seed=seed).sample_epochs(count, k)
     drive = sum(row.take(codes[..., j]) for j, row in enumerate(circ._table))
@@ -156,6 +154,35 @@ def test_gw_epoch_membranes_rejects_wrong_shaped_out(c4, shape):
     circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
     with pytest.raises(ValueError, match="out has shape"):
         circ.epoch_membranes(5, out=np.empty(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int8])
+def test_gw_epoch_membranes_rejects_an_out_of_another_dtype(c4, dtype):
+    # a float32 out took the membranes rounded, with no word
+    circ = GwCircuit(c4, solve_gw_sdp(c4), seed=6)
+    with pytest.raises(ValueError, match=f"out has dtype {np.dtype(dtype).name}, expected float64"):
+        circ.epoch_membranes(5, out=np.zeros((5, c4.n), dtype=dtype))
+    # and drew no epoch
+    assert np.array_equal(circ.epoch_membranes(2),
+                          GwCircuit(c4, solve_gw_sdp(c4), seed=6).epoch_membranes(2))
+
+
+def test_gw_pool_is_as_wide_as_the_solution_vectors():
+    # one device per column of the vectors the circuit integrates
+    vectors = np.random.default_rng(3).standard_normal((6, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    sol = SdpSolution(vectors, objective=0.0, grad_norm=None, iterations=None, converged=True)
+    assert sol.rank == 3
+    assert GwCircuit(Graph(6, []), sol, seed=1).pool.count == 3
+
+
+@pytest.mark.parametrize("method", ["gw", "solver-rounding"])
+def test_run_trajectory_refuses_a_solution_of_another_size(method):
+    # solver-rounding failed only at its first scored batch, blaming the labels
+    sol = solve_gw_sdp(generate_erdos_renyi(10, 0.5, 1))
+    g = generate_erdos_renyi(12, 0.5, 1)
+    with pytest.raises(ValueError, match="solution has 10 vectors for a graph of 12 vertices"):
+        run_trajectory(method, g, 64, seed=1, solution=sol)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "3", None, 0, -2])

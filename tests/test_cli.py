@@ -164,11 +164,10 @@ def test_run_writes_out_file(k3_file, tmp_path):
 
 
 def test_zero_indexed_edge_list(tmp_path, capsys):
+    # a 0-based list loads as it is: ids are relabelled, so no flag sets a base
     p = tmp_path / "z.txt"
     p.write_text("0 1\n1 2\n", encoding="utf-8")
-    assert main(["exact", str(p)]) == 1  # ids below one-indexed base
-    capsys.readouterr()
-    assert main(["exact", str(p), "--zero-indexed"]) == 0
+    assert main(["exact", str(p)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "opt 2"
 
 

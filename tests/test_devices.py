@@ -42,17 +42,34 @@ def test_sample_steps_into_a_buffer_equals_a_fresh_draw(steps):
 
 
 @pytest.mark.parametrize("steps", [1, 77, 4096])
-def test_float32_out_spends_the_float64_stream(steps):
-    # the same uniforms, so the same states and the same generator position
+def test_float32_and_float64_out_take_the_same_words(steps):
+    # one word per state whatever the dtype, so the same states and the same
+    # generator position, and the pool keeps nothing between calls
     pool, ref = DevicePool(9, seed=31), DevicePool(9, seed=31)
     buf = np.full((4096, 9), np.nan, dtype=np.float32)
-    for k in (steps, 3, steps):  # a smaller block reuses the scratch, a larger one grows it
+    for k in (steps, 3, steps):
         got = pool.sample_steps(k, out=buf[:k])
         assert np.shares_memory(got, buf) and got.dtype == np.float32
         assert np.array_equal(got, ref.sample_steps(k))
         assert pool._rng.bit_generator.state == ref._rng.bit_generator.state
     # and a float64 draw continues from there
     assert np.array_equal(pool.sample_steps(5), ref.sample_steps(5))
+    assert vars(pool).keys() == {"count", "_rng"}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_sample_steps_is_the_uniform_stream_below_one_half(count, dtype):
+    # each state is one generator word's top bit, which is exactly whether
+    # default_rng's uniform from that word is below 1/2; blocks of 1, 255,
+    # 256 and 257 rows continue one stream, and leave the generator where the
+    # reference's uniforms leave it
+    pool, ref = DevicePool(count, seed=2024), np.random.default_rng(2024)
+    for steps in (1, 255, 256, 257):
+        got = pool.sample_steps(steps, out=np.full((steps, count), np.nan, dtype=dtype))
+        want = np.where(ref.random(steps * count) < 0.5, 1, -1).reshape(steps, count)
+        assert np.array_equal(got, want)
+        assert pool._rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.int8, np.int64, np.complex128])

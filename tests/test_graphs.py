@@ -565,11 +565,14 @@ def test_edge_list_extra_token_rejected(tmp_edge_list, entry):
 
 
 def test_edge_list_indexing_option(tmp_edge_list):
-    path = tmp_edge_list(["0 1", "1 2"])
-    with pytest.raises(ParseError):
-        load_graph(path)  # one-indexed by default: id 0 is below base
-    g = load_graph(path, zero_indexed=True)
-    assert (g.n, g.m) == (3, 2)
+    # ids are relabelled in first-appearance order, so 0- and 1-based lists
+    # of one graph load alike, with no option
+    zero = load_graph(tmp_edge_list(["0 1", "1 2", "3 0"]))
+    one = load_graph(tmp_edge_list(["1 2", "2 3", "4 1"]))
+    assert (zero.n, zero.m) == (4, 3)
+    assert np.array_equal(zero.edges, one.edges)
+    with pytest.raises(ParseError, match="line 2: negative vertex id"):
+        load_graph(tmp_edge_list(["0 1", "1 -2"]))
 
 
 def test_edge_list_error_carries_line_number(tmp_edge_list):

@@ -407,5 +407,6 @@ def test_save_load_round_trip(petersen):
 
 
 def test_solution_dataclass_n_property():
-    sol = SdpSolution(np.eye(3), 3, 0.0, None, None, True)
-    assert sol.n == 3
+    # both sizes are read off the vectors, so they cannot disagree with them
+    sol = SdpSolution(np.eye(5)[:, :3], 0.0, None, None, True)
+    assert (sol.n, sol.rank) == (5, 3)
