@@ -49,13 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("solve-sdp", help="solve the low-rank cut relaxation")
-    _graph_args(p)
+    p.add_argument("graph", help="graph file")
     _config_flags(p, CircuitConfig, ("rank",))
     _config_flags(p, SolverConfig)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("run", help="sample cuts with one method and report checkpoints")
-    _graph_args(p)
+    p.add_argument("graph", help="graph file")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
@@ -63,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("exact", help="exact optimum by enumeration (small graphs)")
-    _graph_args(p)
+    p.add_argument("graph", help="graph file")
 
     p = sub.add_parser("spectral", help="minimum-eigenvector cut")
-    _graph_args(p)
+    p.add_argument("graph", help="graph file")
 
     p = sub.add_parser("bench", help="run a benchmark config file")
     p.add_argument("--config", required=True, help="flat key=value config file")
@@ -81,16 +81,6 @@ def _config_flags(p, cls, names=None) -> None:
     for name in names or parsers:
         p.add_argument("--" + name.replace("_", "-"), type=parsers[name],
                        default=getattr(defaults, name))
-
-
-def _graph_args(p) -> None:
-    p.add_argument("graph", help="graph file")
-    p.add_argument("--graph-format", choices=["auto", "edge-list", "matrix-market"],
-                   default="auto")
-
-
-def _load(args):
-    return load_graph(args.graph, args.graph_format)
 
 
 @contextmanager
@@ -141,7 +131,7 @@ def cmd_gen_er(args) -> int:
 
 
 def cmd_solve_sdp(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     with _output(args) as out:
         sol = solve_gw_sdp(g, args.rank, cfg)
@@ -153,7 +143,7 @@ def cmd_solve_sdp(args) -> int:
 
 
 def cmd_run(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     circuit = CircuitConfig(**{f.name: getattr(args, f.name) for f in fields(CircuitConfig)})
     with _output(args) as out:
         traj = run_trajectory(args.method, g, args.samples, args.seed, circuit,
@@ -165,13 +155,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    result = brute_force_maxcut(_load(args))
+    result = brute_force_maxcut(load_graph(args.graph))
     sys.stdout.write(f"opt {result.value}\n{_labels_line(result.labels)}\n")
     return EXIT_OK
 
 
 def cmd_spectral(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     result = spectral_cut(g)
     sys.stdout.write(f"cut {cut_value(g, result.labels)}\n"
                      f"{_labels_line(result.labels)}\n"

@@ -261,31 +261,30 @@ def trevisan_matrix(g: Graph) -> np.ndarray:
     return mat
 
 
-def load_graph(path, fmt: str = "auto") -> Graph:
+def load_graph(path) -> Graph:
     """Load an undirected graph from an edge-list or Matrix Market file.
 
+    A file is read as Matrix Market when its name ends in .mtx or its first
+    line starts with the %%MatrixMarket banner, and as an edge list otherwise.
     Self-loops are dropped and duplicate and reversed edges merge. An optional
     third token is a weight: 1 means an edge and 0 means no edge. Any other
     weight (2.5, 0.7, -1, nan), or a fourth token, raises ParseError naming
-    its line, since the graph is unweighted and would misread it. Edge lists carry no vertex
-    count, so their ids, any non-negative integers, are remapped to 0..n-1 in
-    first-appearance order: 0- and 1-based lists of one graph load alike. A
-    negative id raises ParseError naming its line. Matrix Market files
-    declare the size and keep isolated vertices, and their entry lines must
-    number exactly the declared nnz. A Matrix Market banner that is not
-    coordinate, or whose field is complex, raises ParseError naming it.
-    fmt='auto' picks matrix-market for a .mtx suffix and edge-list otherwise.
+    its line, since the graph is unweighted and would misread it. Edge lists
+    carry no vertex count, so their ids, any non-negative integers, are
+    remapped to 0..n-1 in first-appearance order: 0- and 1-based lists of one
+    graph load alike. Every entry line names its vertices, whatever its
+    weight, so a line 'v v 0' keeps an isolated vertex. A negative id raises
+    ParseError naming its line. Matrix Market files declare the size and keep
+    isolated vertices, and their entry lines must number exactly the declared
+    nnz. A Matrix Market banner that is not coordinate, or whose field is
+    complex, raises ParseError naming it.
     """
     path = os.fspath(path)
-    if fmt == "auto":
-        fmt = "matrix-market" if path.endswith(".mtx") else "edge-list"
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if fmt == "edge-list":
-        return _parse_edge_list(lines)
-    if fmt == "matrix-market":
+    if path.endswith(".mtx") or (lines and lines[0].startswith("%%MatrixMarket")):
         return _parse_matrix_market(lines)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _parse_edge_list(lines)
 
 
 def _split_entry(raw: str, lineno: int):
@@ -313,27 +312,25 @@ def _split_entry(raw: str, lineno: int):
     return u, v, w == 1.0
 
 
+def _entries(numbered_lines, comment_prefixes):
+    """(lineno, u, v, is_edge) for each line that is not blank and not a comment."""
+    for lineno, raw in numbered_lines:
+        stripped = raw.strip()
+        if stripped and not stripped.startswith(comment_prefixes):
+            yield (lineno, *_split_entry(stripped, lineno))
+
+
 def _parse_edge_list(lines) -> Graph:
     order: dict[int, int] = {}
     edges = []
-    saw_data = False
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(("#", "%")):
-            continue
-        saw_data = True
-        u, v, is_edge = _split_entry(stripped, lineno)
+    for lineno, u, v, is_edge in _entries(enumerate(lines, start=1), ("#", "%")):
         if u < 0 or v < 0:
             raise ParseError("negative vertex id", lineno)
-        if not is_edge:
-            continue
         for vid in (u, v):
-            if vid not in order:
-                order[vid] = len(order)
-        if u == v:
-            continue
-        edges.append((order[u], order[v]))
-    if not saw_data:
+            order.setdefault(vid, len(order))
+        if is_edge and u != v:
+            edges.append((order[u], order[v]))
+    if not order:
         raise ValueError("empty edge-list file")
     return Graph(len(order), edges)
 
@@ -373,12 +370,8 @@ def _parse_matrix_market(lines) -> Graph:
     size_line = lineno
     entries = 0
     edges = []
-    for lineno, raw in it:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for lineno, u, v, is_edge in _entries(it, "%"):
         entries += 1
-        u, v, is_edge = _split_entry(stripped, lineno)
         if not (1 <= u <= rows and 1 <= v <= rows):
             raise ParseError(f"entry ({u}, {v}) outside 1..{rows}", lineno)
         if is_edge and u != v:
@@ -391,8 +384,9 @@ def _parse_matrix_market(lines) -> Graph:
 def save_graph(g: Graph, stream, fmt: str = "matrix-market") -> None:
     """Write a graph to an open text stream.
 
-    matrix-market (default) declares n and therefore round-trips graphs with
-    isolated vertices; edge-list writes 1-indexed 'u v' lines.
+    matrix-market (default) declares n and keeps isolated vertices. edge-list
+    writes 1-indexed 'u v' lines, then a weight-0 line 'v v 0' for each
+    isolated vertex, so n survives the round trip too.
     """
     if fmt == "matrix-market":
         stream.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
@@ -402,5 +396,7 @@ def save_graph(g: Graph, stream, fmt: str = "matrix-market") -> None:
     elif fmt == "edge-list":
         for u, v in g.edges:
             stream.write(f"{u + 1} {v + 1}\n")
+        for v in np.flatnonzero(g.degrees == 0):
+            stream.write(f"{v + 1} {v + 1} 0\n")
     else:
         raise ValueError(f"unknown graph format {fmt!r}")

@@ -171,6 +171,14 @@ def test_zero_indexed_edge_list(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "opt 2"
 
 
+@pytest.mark.parametrize("argv", [["solve-sdp"], ["run", "--method", "random"],
+                                  ["exact"], ["spectral"]], ids=lambda argv: argv[0])
+def test_graph_format_flag_is_a_usage_error(k3_file, capsys, argv):
+    # a file's format is read off its name or its banner, so no flag sets it
+    assert main([*argv, k3_file, "--graph-format", "matrix-market"]) == 1
+    assert "unrecognized arguments: --graph-format" in capsys.readouterr().err
+
+
 def test_bench_subcommand(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

@@ -556,6 +556,15 @@ def test_edge_list_zero_weight_skips_edge(tmp_edge_list):
             load_graph(path)
 
 
+@pytest.mark.parametrize("lines, n", [(["1 2 0", "3 3"], 3), (["1 2 0", "2 1 0"], 2)],
+                         ids=["weight-0-and-loop", "weight-0-only"])
+def test_edge_list_entry_line_names_its_vertices(tmp_edge_list, lines, n):
+    # a weight-0 line registers its ids as a self-loop line does, so its
+    # vertices are kept; a file of weight-0 lines alone is a graph with no edge
+    g = load_graph(tmp_edge_list(lines))
+    assert (g.n, g.m) == (n, 0)
+
+
 @pytest.mark.parametrize("entry", ["2 3 1 abc", "2 3 1 1", "2 3 0 1"])
 def test_edge_list_extra_token_rejected(tmp_edge_list, entry):
     # the tokens past the weight went unread, so '2 3 1 abc' was the edge 2-3
@@ -667,8 +676,13 @@ def test_format_detection_by_suffix(tmp_path):
     txt = tmp_path / "g.txt"
     txt.write_text("1 2\n", encoding="utf-8")
     assert load_graph(txt).n == 2
-    with pytest.raises(ValueError):
-        load_graph(txt, fmt="pajek")
+    # any other name is read as Matrix Market by its banner: as an edge list,
+    # the size line '12 12 20' would be an entry refused for its weight 20
+    g = generate_erdos_renyi(12, 0.3, 5)
+    for name in ("g.mtx", "g.txt"):
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            save_graph(g, fh)
+    assert load_graph(tmp_path / "g.txt") == load_graph(tmp_path / "g.mtx") == g
 
 
 def _messy_copy(lines, seed):
@@ -721,8 +735,9 @@ def test_round_trip_files(tmp_path):
         if fmt == "matrix-market":
             assert back == g
         else:
-            # edge lists do not carry n, so only edge structure survives
-            assert back.m == g.m
+            # edge-list ids are relabelled, so the graph survives up to isomorphism
+            assert (back.n, back.m) == (g.n, g.m)
+            assert sorted(back.degrees) == sorted(g.degrees)
 
 
 def test_save_rejects_unknown_format(k3):
@@ -739,3 +754,16 @@ def test_mtx_round_trip_random(n, seed):
     from neurocut.graphs import _parse_matrix_market
 
     assert _parse_matrix_market(buf.getvalue().splitlines()) == g
+
+
+@given(st.integers(2, 15), st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_edge_list_round_trip_random(n, seed):
+    # at p = 0.15 many of these graphs have an isolated vertex, which the
+    # edge list names with a weight-0 line 'v v 0'
+    g = generate_erdos_renyi(n, 0.15, seed)
+    buf = io.StringIO()
+    save_graph(g, buf, "edge-list")
+    back = graphs._parse_edge_list(buf.getvalue().splitlines())
+    assert (back.n, back.m) == (g.n, g.m)
+    assert sorted(back.degrees) == sorted(g.degrees)
