@@ -31,15 +31,14 @@ _METHOD_MAP = {"lif-gw": "gw", "lif-trevisan": "trevisan",
                "solver-rounding": "solver-rounding", "random": "random"}
 BENCH_METHODS = tuple(_METHOD_MAP)
 
-# Grid values used by the standard experiment scales; anything else needs the
-# custom_grid flag so accidental typos do not silently change the protocol.
-_KNOWN_N = {20, 50, 100, 200, 350, 500}
-_KNOWN_P = {0.1, 0.25, 0.5, 0.75}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A benchmark run's grid, files, methods and budget, checked when it is built."""
+    """A benchmark run's grid, files, methods and budget, checked when it is built.
+
+    The ER grid takes any sizes n >= 1 and densities p in [0, 1]; no two
+    jobs may share a graph id.
+    """
 
     er_n: tuple[int, ...] = (20, 50, 100)
     er_p: tuple[float, ...] = (0.1, 0.25, 0.5)
@@ -51,7 +50,6 @@ class ExperimentConfig:
     circuit: CircuitConfig = CircuitConfig()
     out_dir: str | None = None
     jobs: int = 1
-    custom_grid: bool = False
 
     @classmethod
     def desk_scale(cls, **overrides) -> "ExperimentConfig":
@@ -100,18 +98,9 @@ class ExperimentConfig:
             _check_probability(p)
         if not isinstance(self.circuit, CircuitConfig):  # a dict fails every job with AttributeError
             raise ValueError(f"circuit = {self.circuit!r} must be a CircuitConfig")
-        if not isinstance(self.custom_grid, bool):  # "false" is truthy
-            raise ValueError(f"custom_grid = {self.custom_grid!r} must be a bool")
         # "" would write the outputs into the working directory
         if self.out_dir is not None and (self.out_dir == "" or not isinstance(self.out_dir, (str, os.PathLike))):
             raise ValueError(f"out_dir = {self.out_dir!r} must be None or a path")
-        if not self.custom_grid:
-            bad_n = [n for n in self.er_n if n not in _KNOWN_N]
-            bad_p = [p for p in self.er_p if p not in _KNOWN_P]
-            if bad_n or bad_p:
-                raise ValueError(
-                    f"ER grid values {bad_n or bad_p} are outside the preset scales; "
-                    "set custom_grid=true to run them anyway")
         seen = set()
         for gid, _, _ in _job_list(self):
             if gid in seen:
@@ -335,12 +324,6 @@ def write_summary_csv(summary: Summary, path) -> None:
 
 # --- flat key=value config files -------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "false", "1", "0"):
-        raise ValueError(f"bad boolean {text!r}")
-    return text.lower() in ("true", "1")
-
-
 def _value_parser(hint):
     """text -> value for one field annotation.
 
@@ -360,7 +343,7 @@ def _value_parser(hint):
             return None if text.lower() in unset else item(text)
         optional.__name__ = item.__name__  # argparse: "invalid int value: 'x'"
         return optional
-    return _parse_bool if hint is bool else hint
+    return hint
 
 
 def _key_parsers(cls) -> dict:
@@ -380,10 +363,13 @@ def parse_config_file(path) -> ExperimentConfig:
     """Build an ExperimentConfig from flat 'key = value' lines.
 
     Keys are the field names of ExperimentConfig (except circuit) and of
-    CircuitConfig. Lists are comma-separated; 'scale = desk|full' selects a
-    preset before other keys override it; later lines win; unknown keys are
-    input errors. A value that a config rejects names its line; the rules
-    across keys (the preset grid, duplicate graph ids) are checked last.
+    CircuitConfig. Lists are comma-separated; unknown keys are input errors.
+    'scale = desk|full' selects the preset the other lines start from; they
+    are then applied one by one in file order, so later lines win and every
+    error names its line. A rule across keys fails on the first line whose
+    config breaks it: after 'scale = desk', a graph file stemmed
+    er-n20-p0.1-0 fails on its own line even if a later 'er_n = 50' would
+    have freed the id, while the same two lines the other way round parse.
     """
     entries = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -403,11 +389,7 @@ def parse_config_file(path) -> ExperimentConfig:
             if value not in presets:
                 raise ValueError(f"line {lineno}: unknown scale {value!r}")
             cfg = presets[value]()
-    experiment: dict = {}
-    circuit = cfg.circuit
     for lineno, key, value in entries:
-        # one key at a time, so a value the configs reject names its line; the
-        # preset grid rule waits for every key, so it is off until the end
         if key == "scale":
             continue
         try:
@@ -415,10 +397,9 @@ def parse_config_file(path) -> ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             parse, in_circuit = _KEYS[key]
             if in_circuit:
-                circuit = replace(circuit, **{key: parse(value)})
+                cfg = replace(cfg, circuit=replace(cfg.circuit, **{key: parse(value)}))
             else:
-                experiment[key] = parse(value)
-                replace(cfg, **{"custom_grid": True, key: experiment[key]})
+                cfg = replace(cfg, **{key: parse(value)})
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-    return replace(cfg, **experiment, circuit=circuit)
+    return cfg

@@ -244,7 +244,7 @@ def test_criterion_7_named_graph_spot_checks(capsys):
             if path is None:
                 continue
             cfg = ExperimentConfig(er_n=(), er_p=(), graph_files=(str(path),),
-                                   methods=("lif-gw",), custom_grid=True)
+                                   methods=("lif-gw",))
             result = run_experiment(cfg)
             assert not result.failures, result.failures
             best = max(r.best_cut for r in result.rows if r.samples == cfg.samples)
@@ -266,7 +266,6 @@ er_p = 0.5
 er_graphs_per_cell = 2
 samples = 64
 base_seed = 5
-custom_grid = true
 """
 
 

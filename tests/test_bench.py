@@ -22,9 +22,8 @@ from neurocut import (
 from neurocut.bench import ResultRow, Summary, _config_metadata, write_results_csv
 from neurocut.seeding import derive_seed
 
-# one small cell keeps the harness tests quick; custom_grid covers n=10
-TINY = dict(er_n=(10,), er_p=(0.5,), er_graphs_per_cell=2, samples=64,
-            custom_grid=True, base_seed=5)
+# one small cell keeps the harness tests quick
+TINY = dict(er_n=(10,), er_p=(0.5,), er_graphs_per_cell=2, samples=64, base_seed=5)
 
 
 def tiny_config(**overrides):
@@ -84,7 +83,7 @@ def test_edgeless_cell_flat_zero_baseline(tmp_path):
     with open(empty, "w", encoding="utf-8") as fh:
         save_graph(Graph(5, []), fh)
     cfg = ExperimentConfig(er_n=(10,), er_p=(0.0,), er_graphs_per_cell=1, samples=8,
-                           graph_files=(str(empty),), methods=BENCH_METHODS, custom_grid=True)
+                           graph_files=(str(empty),), methods=BENCH_METHODS)
     res = run_experiment(cfg)
     assert not res.failures
     assert {(r.graph_id, r.method) for r in res.rows} == {
@@ -160,9 +159,8 @@ def test_validate_rejects_bad_config():
     for overrides in (dict(methods=("simulated-annealing",)), dict(samples=0), dict(jobs=0)):
         with pytest.raises(ValueError):
             tiny_config(**overrides)
-    with pytest.raises(ValueError):
-        ExperimentConfig(er_n=(13,), er_p=(0.5,))  # off-grid without flag
-    ExperimentConfig(er_n=(13,), er_p=(0.5,), custom_grid=True)
+    # any n >= 1 and p in [0, 1] make a grid: no flag opens values off the presets
+    assert ExperimentConfig(er_n=(13,), er_p=(0.3,)).er_n == (13,)
     assert not hasattr(ExperimentConfig, "validate")
 
 
@@ -179,9 +177,30 @@ def test_config_is_frozen_and_every_replace_checks():
 def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
     # before, the file parsed and the error waited for run_experiment
     p = tmp_path / "bad.cfg"
-    p.write_text("er_n = 10\ner_p = 0.5\ncustom_grid = true\nsamples = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^line 4: samples = 0 must be >= 1"):
+    p.write_text("er_n = 10\ner_p = 0.5\nsamples = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^line 3: samples = 0 must be >= 1"):
         parse_config_file(p)
+
+
+def test_parse_config_applies_lines_in_order(tmp_path):
+    # each line was tried against the preset's grid, so the graph file's id
+    # collided with the n=20 cells that line 2 had already dropped
+    p = tmp_path / "order.cfg"
+    p.write_text("scale = desk\ner_n = 50\ngraph_files = data/er-n20-p0.1-0.mtx\n",
+                 encoding="utf-8")
+    assert parse_config_file(p) == ExperimentConfig.desk_scale(
+        er_n=(50,), graph_files=("data/er-n20-p0.1-0.mtx",))
+    # the other way round, line 2's config already holds the duplicate
+    p.write_text("scale = desk\ngraph_files = data/er-n20-p0.1-0.mtx\ner_n = 50\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^line 2: duplicate graph id 'er-n20-p0.1-0'"):
+        parse_config_file(p)
+
+
+def test_parse_config_takes_a_grid_off_the_presets(tmp_path):
+    p = tmp_path / "grid.cfg"
+    p.write_text("er_n = 13\ner_p = 0.3\n", encoding="utf-8")
+    assert parse_config_file(p) == ExperimentConfig(er_n=(13,), er_p=(0.3,))
 
 
 @pytest.mark.parametrize("overrides, problem", [
@@ -194,14 +213,12 @@ def test_parse_config_rejects_a_bad_value_before_any_job(tmp_path):
     # (True,) ran n = 1 graphs under graph id er-nTrue-p0.5-0
     (dict(er_n=(True,)), "er_n item = True must be an integer"),
     (dict(samples=True), "samples = True must be an integer"),
-    # "false" ran the off-grid value as if the flag were set; 5 failed in
-    # Path(5) only after every job had run
-    (dict(custom_grid="false"), "custom_grid = 'false' must be a bool"),
+    # 5 failed in Path(5) only after every job had run
     (dict(out_dir=5), "out_dir = 5 must be None or a path"),
     # "" wrote the output files into the working directory
     (dict(out_dir=""), "out_dir = '' must be None or a path"),
 ], ids=["er_n", "er_n-text", "samples", "graphs-per-cell", "jobs", "whole-float-jobs",
-        "er_n-bool", "samples-bool", "custom_grid-text", "out_dir-int", "out_dir-empty"])
+        "er_n-bool", "samples-bool", "out_dir-int", "out_dir-empty"])
 def test_validate_rejects_non_integer_sizes(overrides, problem):
     # caught before any job runs: each job failed on it, or the process pool raised TypeError
     with pytest.raises(ValueError, match=re.escape(problem)):
@@ -413,9 +430,6 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     p.write_text("samples = many\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(p)
-    p.write_text("custom_grid = maybe\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1"):
-        parse_config_file(p)
     # 'none' is no value of a field that cannot be None
     p.write_text("samples = 64\nepoch_steps = none\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
@@ -437,7 +451,6 @@ _EVERY_KEY = {
     "er_n": (20, 350), "er_p": (0.25, 0.75), "er_graphs_per_cell": 3,
     "graph_files": ("a.mtx", "b.txt"), "methods": ("random", "solver-rounding"),
     "samples": 4096, "base_seed": 99, "out_dir": "results", "jobs": 2,
-    "custom_grid": True,
     "alpha": 0.08, "epoch_steps": 60, "eta0": 0.004, "tau": 3000.0,
     "rank": 3,
 }
@@ -445,12 +458,13 @@ _EVERY_KEY = {
 
 @pytest.mark.parametrize("key", ["dt", "capacitance", "threshold",
                                  "gw_weight_scale", "trevisan_weight_scale", "self_test",
-                                 "sdp_tol", "sdp_max_iter"])
+                                 "sdp_tol", "sdp_max_iter", "custom_grid"])
 def test_removed_circuit_keys_are_unknown(tmp_path, key):
     # positive drive scales and a zero threshold cannot move a sign read,
     # so the circuit keys are no longer settable; exact optima come from
     # `neurocut exact`, not from a self_test key; the relaxation's stopping
-    # rule is SolverConfig's, at its defaults
+    # rule is SolverConfig's, at its defaults; any grid value runs, so no
+    # custom_grid key opens the values off the presets
     p = tmp_path / "old.cfg"
     p.write_text(f"samples = 64\n{key} = 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
@@ -471,7 +485,7 @@ def test_parse_config_sets_every_field(tmp_path):
     def text(value):
         if isinstance(value, tuple):
             return ", ".join(str(v) for v in value)
-        return str(value).lower() if isinstance(value, bool) else str(value)
+        return str(value)
 
     p = tmp_path / "every.cfg"
     p.write_text("".join(f"{k} = {text(v)}\n" for k, v in _EVERY_KEY.items()), encoding="utf-8")
@@ -501,7 +515,7 @@ def test_desk_run_metadata_parses_back_to_its_config(tmp_path):
         "config.er_n", "config.er_p", "config.er_graphs_per_cell", "config.graph_files",
         "config.methods", "config.samples", "config.base_seed", "config.circuit.alpha",
         "config.circuit.epoch_steps", "config.circuit.eta0", "config.circuit.tau",
-        "config.circuit.rank", "config.out_dir", "config.jobs", "config.custom_grid"]
+        "config.circuit.rank", "config.out_dir", "config.jobs"]
     rebuilt = _reparsed(written, tmp_path)
     assert rebuilt == cfg
     assert _config_lines(_config_metadata(rebuilt)) == written

@@ -62,7 +62,7 @@ def test_harness_calls_through_desk_hook_bindings(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     result = run_experiment(ExperimentConfig(er_n=(10,), er_p=(0.5,), er_graphs_per_cell=1,
-                                             samples=8, methods=BENCH_METHODS, custom_grid=True))
+                                             samples=8, methods=BENCH_METHODS))
     assert not result.failures
     assert all(calls[name] for _, name in DESK_HOOKS), calls
 

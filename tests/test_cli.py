@@ -183,7 +183,7 @@ def test_bench_subcommand(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(
         "er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 32\n"
-        "methods = lif-gw, random\ncustom_grid = true\nbase_seed = 3\n",
+        "methods = lif-gw, random\nbase_seed = 3\n",
         encoding="utf-8")
     out_dir = tmp_path / "res"
     assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
@@ -213,15 +213,15 @@ def test_bench_with_no_rows_writes_header_only_files(tmp_path, capsys):
 def test_bench_jobs_zero_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
-                   "methods = random\ncustom_grid = true\n", encoding="utf-8")
+                   "methods = random\n", encoding="utf-8")
     assert main(["bench", "--config", str(cfg), "--jobs", "0"]) == 1
     assert "error: jobs = 0 must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, problem", [
     ("er_n = 20\nmethods = random, random\n", "line 5: method 'random' is listed twice"),
-    ("er_n = 0\ncustom_grid = true\n", "line 4: er_n item = 0 must be >= 1"),
-    ("er_n = 10, -3\ncustom_grid = true\n", "line 4: er_n item = -3 must be >= 1"),
+    ("er_n = 0\n", "line 4: er_n item = 0 must be >= 1"),
+    ("er_n = 10, -3\n", "line 4: er_n item = -3 must be >= 1"),
 ], ids=["repeated-method", "zero-n", "negative-n"])
 def test_bench_rejects_repeated_method_and_non_positive_n(lines, problem, tmp_path, capsys):
     # rejected before any job runs: a repeated method doubled its rows and a
@@ -245,10 +245,10 @@ def test_bench_out_of_range_circuit_value_exits_1(tmp_path, capsys):
     # 'failed' line per job and exit 0
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("er_n = 10\ner_p = 0.5\ner_graphs_per_cell = 1\nsamples = 8\n"
-                   "custom_grid = true\nalpha = 1.5\n", encoding="utf-8")
+                   "alpha = 1.5\n", encoding="utf-8")
     assert main(["bench", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert "error: line 6: alpha = 1.5 outside (0, 1)" in captured.err
+    assert "error: line 5: alpha = 1.5 outside (0, 1)" in captured.err
     assert "failed" not in captured.err and captured.out == ""
 
 
