@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .devices import DevicePool, _out, _whole
+from .devices import DevicePool, _out, _real_array, _whole
 from .graphs import Graph, cut_value, cut_values, trevisan_matrix
 from .lif import LifPopulation, _check_leak
 from .oracles import reference_hyperplane_rounds
@@ -58,11 +58,11 @@ class CircuitConfig:
         _whole(self.rank, "rank", least=2)
 
 
-def _fitted(solution: SdpSolution, graph: Graph) -> SdpSolution:
-    """solution, if it holds one vector per vertex of graph; else ValueError naming both sizes."""
+def _fitted(solution: SdpSolution, graph: Graph) -> np.ndarray:
+    """solution's vectors, if real numbers and one per vertex of graph; else ValueError."""
     if solution.n != graph.n:
         raise ValueError(f"solution has {solution.n} vectors for a graph of {graph.n} vertices")
-    return solution
+    return _real_array(solution.vectors, "solution vectors")
 
 
 class GwCircuit:
@@ -83,7 +83,7 @@ class GwCircuit:
                  config: CircuitConfig = CircuitConfig()):
         self.graph = graph
         self.config = config
-        self._weights = np.array(_fitted(solution, graph).vectors, dtype=float)
+        self._weights = np.array(_fitted(solution, graph), dtype=float)
         self._weights.setflags(write=False)
         self.pool = DevicePool(self._weights.shape[1], seed=seed)
         k = config.epoch_steps
@@ -154,13 +154,12 @@ class TrevisanCircuit:
     and M^2 shares the eigenvectors of M, in particular its minimum one. The
     cut is the sign pattern of the learned vector.
 
-    The LIF stage runs in float32: its weights are the float32 rounding of
-    M sqrt(1 - q^2), and its two (_SLICE, n) block buffers, where GwCircuit
-    has one, are float32 too: 0.2 MB at n=100 and 1 MB at n=500, whatever
-    the step count. The device states, one generator word's top bit each,
-    are exact in float32, and the learner's state stays float64, so float32
-    rounds only the membranes: about 1e-6 relative after n-term sums, far
-    below the smallest eigengaps measured (4e-4).
+    The LIF stage runs in float32, as every LifPopulation does, and so do
+    the circuit's two (_SLICE, n) block buffers (GwCircuit has one): 0.2 MB
+    at n=100 and 1 MB at n=500, whatever the step count. The device states,
+    one generator word's top bit each, are exact in float32, and the
+    learner's state stays float64, so float32 rounds only the membranes:
+    about 1e-6 relative after n-term sums, below every eigengap seen (4e-4).
     """
 
     def __init__(self, graph: Graph, seed: int, config: CircuitConfig = CircuitConfig()):
@@ -168,7 +167,7 @@ class TrevisanCircuit:
         self.pool = DevicePool(graph.n, seed=derive_seed(seed, "devices"))
         weights = trevisan_matrix(graph)
         weights *= np.sqrt(1.0 - q * q)
-        self.pop = LifPopulation(weights.astype(np.float32), alpha=config.alpha)
+        self.pop = LifPopulation(weights, alpha=config.alpha)
         rng = np.random.default_rng(derive_seed(seed, "oja-init"))
         self.oja = OjaState.spherical_init(graph.n, rng, eta0=config.eta0, tau=config.tau)
         # every run_steps block is drawn into _states and integrated into _membranes
@@ -343,6 +342,6 @@ def run_trajectory(method: str, graph: Graph, total_samples: int, seed: int,
     elif method == "gw":
         sampler = GwCircuit(graph, solution, derive_seed(seed, "gw-devices"), config).sample_cuts
     else:
-        sampler = partial(reference_hyperplane_rounds, _fitted(solution, graph).vectors,
+        sampler = partial(reference_hyperplane_rounds, _fitted(solution, graph),
                           rng=np.random.default_rng(seed))
     return trajectory_from_sampler(graph, sampler, total_samples, method, seed, graph_id)

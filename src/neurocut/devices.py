@@ -21,16 +21,23 @@ def _whole(value, name: str, least: int | None = None) -> int:
     return whole
 
 
-def _out(out, shape: tuple, *dtypes) -> np.ndarray:
-    """out, or a fresh array of shape and dtypes[0] if None; ValueError for another shape or dtype."""
+def _out(out, shape: tuple, dtype) -> np.ndarray:
+    """out, or a fresh array of shape and dtype if None; ValueError for another shape or dtype."""
     if out is None:
-        return np.empty(shape, dtypes[0])
+        return np.empty(shape, dtype)
     if out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    if out.dtype not in dtypes:
-        names = " or ".join(np.dtype(d).name for d in dtypes)
-        raise ValueError(f"out has dtype {out.dtype}, expected {names}")
+    if out.dtype != dtype:
+        raise ValueError(f"out has dtype {out.dtype}, expected {np.dtype(dtype).name}")
     return out
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """values as an array; ValueError naming name and dtype unless it holds integers or floats."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":  # a float cast reads True as 1, "1" as 1.0 and None as nan
+        raise ValueError(f"{name} has dtype {values.dtype}, expected real numbers")
+    return values
 
 
 def _real(value, name: str) -> float:
@@ -65,16 +72,14 @@ class DevicePool:
         self._rng = np.random.default_rng(_whole(seed, "seed"))
 
     def sample_steps(self, steps: int, out: np.ndarray | None = None) -> np.ndarray:
-        """(steps, count) float array of ±1; row k equals the k-th sequential draw.
+        """(steps, count) float32 array of ±1; row k equals the k-th sequential draw.
 
-        With out, a (steps, count) float64 or float32 array, the states are
-        written into it and out itself is returned: the result aliases the
-        caller's buffer, and the next call that fills the buffer overwrites
-        it. Either dtype spends the same words, so the states and the
-        generator's position do not depend on it.
+        With out, a (steps, count) float32 array, the states are written into
+        it and out itself is returned: the result aliases the caller's buffer,
+        and the next call that fills the buffer overwrites it.
         """
         steps = _whole(steps, "steps", least=1)
-        out = _out(out, (steps, self.count), np.float64, np.float32)
+        out = _out(out, (steps, self.count), np.float32)
         words = self._rng.bit_generator.random_raw(out.size).reshape(out.shape)
         # the word becomes 1.0 below 2^63 and 0.0 from there, then ±1
         np.less(words, 1 << 63, out=out)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .devices import _out, _real
+from .devices import _out, _real, _real_array
 
 # Rows per leak chunk of a state block: the chunk's leak kernel is an
 # (_CHUNK, _CHUNK) lower-triangular matrix, applied as one small GEMM.
@@ -30,30 +30,29 @@ class LifPopulation:
     membrane by the same constant, which no sign read can see, so the drive
     is W s itself.
 
-    The population integrates in its weights' float dtype: float32 weights
-    give float32 drive, leak kernel and membranes, and any other weights are
-    taken as float64.
+    The population integrates in float32: it rounds its weights to float32
+    once, and its drive, leak kernel and membranes are float32. Weights that
+    are not real numbers, or not finite in float32, raise ValueError.
     """
 
     def __init__(self, weights, alpha: float = 0.05):
-        single = isinstance(weights, np.ndarray) and weights.dtype == np.float32
-        dtype = np.float32 if single else np.float64
-        w = np.array(weights, dtype=dtype)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, refused below
+            w = np.array(_real_array(weights, "weights"), dtype=np.float32)
         if w.ndim != 2:
             raise ValueError("weights must be a 2-d array (units x devices)")
         if not np.isfinite(w).all():
-            raise ValueError("weights must be finite; got a nan or inf entry")
+            raise ValueError("weights must be finite in float32: no nan, inf or |w| > 3.4e38")
         w.setflags(write=False)
         self.alpha = _check_leak(alpha)
         self.weights = w
         self.n, self.r = w.shape
-        self.V = np.zeros(self.n, dtype)
+        self.V = np.zeros(self.n, np.float32)
         q = 1.0 - self.alpha
         lag = np.subtract.outer(np.arange(_CHUNK), np.arange(_CHUNK))
         # _leak[i, j] = q^(i-j) on and below the diagonal; _carry[i] = q^(i+1);
-        # both formed in float64, then rounded once to the weights' dtype
-        self._leak = np.tril(q ** np.abs(lag)).astype(dtype)
-        self._carry = (q ** np.arange(1, _CHUNK + 1)).astype(dtype)
+        # both formed in float64, then rounded once to float32
+        self._leak = np.tril(q ** np.abs(lag)).astype(np.float32)
+        self._carry = (q ** np.arange(1, _CHUNK + 1)).astype(np.float32)
 
     def step(self, states, out: np.ndarray | None = None) -> np.ndarray:
         """Advance one timestep per row of a (T, r) state block; returns the (T, n) membranes.
@@ -65,22 +64,20 @@ class LifPopulation:
         lower-triangular Toeplitz matrix of q^(i-j) and V_prev the membrane
         before the chunk, so the result agrees with the row-by-row recurrence
         to rounding, not bit for bit. A chunk's drive is copied to a
-        _CHUNK-row scratch first, so V overwrites D in place. The states are
-        taken in the weights' dtype, which holds ±1 exactly.
+        _CHUNK-row scratch first, so V overwrites D in place. Real states are
+        taken as float32, which holds ±1 exactly; others raise ValueError.
 
-        With out, a (T, n) array of the weights' dtype, the membranes are
-        written into it and out itself is returned, so the result aliases the
-        caller's buffer and the next call that fills it overwrites them. The
-        live membrane is a copy of the last row either way. Without out the
-        block gets a fresh array.
+        With out, a (T, n) float32 array, the membranes are written into it
+        and out itself is returned: the result aliases the caller's buffer,
+        and the next call that fills it overwrites them. The live membrane is
+        a copy of the last row either way; without out the block is fresh.
         """
-        dtype = self.weights.dtype
-        s = np.asarray(states, dtype=dtype)
+        s = np.asarray(_real_array(states, "states"), dtype=np.float32)
         if s.ndim != 2 or s.shape[1] != self.r:
             raise ValueError(f"device states have shape {s.shape}, expected (T, {self.r})")
-        out = _out(out, (len(s), self.n), dtype)
+        out = _out(out, (len(s), self.n), np.float32)
         np.matmul(s, self.weights.T, out=out)
-        scratch = np.empty((min(_CHUNK, len(out)), self.n), dtype)
+        scratch = np.empty((min(_CHUNK, len(out)), self.n), np.float32)
         prev = self.V
         for start in range(0, len(out), _CHUNK):
             chunk = out[start:start + _CHUNK]
@@ -91,6 +88,5 @@ class LifPopulation:
             np.multiply.outer(self._carry[:rows], prev, out=drive)
             chunk += drive
             prev = chunk[-1]
-        if len(out):
-            self.V[:] = out[-1]
+        self.V[:] = prev  # the last row, or V itself for an empty block
         return out

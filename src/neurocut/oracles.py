@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import _whole
+from .devices import _real_array, _whole
 from .graphs import Graph, trevisan_matrix
 
 ENUM_LIMIT = 26
@@ -90,11 +90,11 @@ def reference_hyperplane_rounds(vectors, count: int, rng: np.random.Generator) -
     sign of vectors[i] . g (ties go to -1). The Gaussians are one draw;
     their products are signed _ROUND_ROWS rows at a time straight into the
     int8 result, so no (count, n) float array is made. A count that is not
-    a non-negative integer raises ValueError; a count of 0 gives an empty
-    batch.
+    a non-negative integer, or vectors that are not real numbers, raise
+    ValueError; a count of 0 gives an empty batch.
     """
     count = _whole(count, "count", least=0)
-    w = np.asarray(vectors, dtype=float)
+    w = np.asarray(_real_array(vectors, "vectors"), dtype=float)
     if w.ndim != 2:
         raise ValueError("vectors must be a 2-d array")
     gauss = rng.standard_normal((count, w.shape[1]))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .devices import _real
+from .devices import _real, _real_array
 
 # Rows per delayed (Gram-form) sub-block of a block update: each step costs
 # O(rows) scalar work, the products O(rows * n). 16 beat 8 and 32 at n = 100, 500.
@@ -39,7 +39,7 @@ class OjaState:
 
     def __init__(self, w, eta0: float = 5e-3, tau: float = 1e5):
         self.eta0, self.tau = _check_rates(eta0, tau)
-        self.w = np.array(w, dtype=float)
+        self.w = np.array(_real_array(w, "w"), dtype=float)
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")
         if not np.isfinite(self.w).all() or not self.w.any():
@@ -62,9 +62,9 @@ class OjaState:
     def update(self, x) -> np.ndarray:
         """Apply one anti-Hebbian update per input in place; returns the live w.
 
-        Input of any float dtype is taken as float64, once per call: a view
-        of a float64 block, one copy of a float32 one, so w and the scalar
-        arithmetic stay float64. An (n,) input applies one update with two
+        Real input is taken as float64 once per call (a view of a float64
+        block, one copy of a float32 one), so w and the scalar arithmetic stay
+        float64; other input raises ValueError. An (n,) input applies one update with two
         dots and an axpy, which costs less than a one-row sub-block. A (b, n) block applies b
         sequential updates, row by row, in sub-blocks of up to _SUB rows.
         A sub-block X with start vector w0 runs in delayed (Gram) form:
@@ -87,7 +87,7 @@ class OjaState:
         np.errstate(over="ignore", invalid="ignore") to drop the transient
         IEEE warnings, as TrevisanCircuit does.
         """
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(_real_array(x, "x"), dtype=float)
         block = x.ndim == 2 and x.shape[1:] == self.w.shape
         if not block and x.shape != self.w.shape:
             raise ValueError(f"input has shape {x.shape}, "

@@ -30,6 +30,16 @@ def petersen():
     return Graph(10, outer + inner + spokes)
 
 
+# Each turns a float array into one a float cast would misread: True as 1.0,
+# 1+1j as 1.0 (with only a ComplexWarning), "1.0" as 1.0 and None as nan.
+NOT_REAL = {
+    "bool": lambda a: a > 0,
+    "complex": lambda a: a + 1j,
+    "object": lambda a: np.where(a > 0, None, a),
+    "str": lambda a: a.astype(str),
+}
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)

@@ -30,7 +30,7 @@ from neurocut import (
 from neurocut.circuits import _BATCH, _SLICE, _random_labels
 from neurocut.seeding import derive_seed
 
-from conftest import warm_peak_bytes
+from conftest import NOT_REAL, warm_peak_bytes
 
 
 # --- GW circuit -------------------------------------------------------------
@@ -185,6 +185,18 @@ def test_run_trajectory_refuses_a_solution_of_another_size(method):
         run_trajectory(method, g, 64, seed=1, solution=sol)
 
 
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_gw_refuses_solution_vectors_that_are_not_real_numbers(c4, kind):
+    # bool vectors integrated as 1/0 rows and string ones as the numbers they spell
+    vectors = NOT_REAL[kind](solve_gw_sdp(c4).vectors)
+    sol = SdpSolution(vectors, objective=0.0, grad_norm=None, iterations=None, converged=True)
+    problem = f"^solution vectors has dtype {vectors.dtype}, expected real numbers"
+    with pytest.raises(ValueError, match=problem):
+        GwCircuit(c4, sol, seed=1)
+    with pytest.raises(ValueError, match=problem):
+        run_trajectory("solver-rounding", c4, 8, seed=1, solution=sol)
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, "3", None, 0, -2])
 def test_gw_counts_must_be_integers(c4, value):
     # below 1, epoch_membranes(0) named epochs, sample_cuts(0) returned no
@@ -253,8 +265,8 @@ def test_trevisan_c4_sign_pattern(c4):
 
 
 # The learner's block schedules differ only in rounding, which the learner
-# carries by a factor that does not depend on the precision. With a float64
-# LIF stage they agree within 1e-12, about 2^13 units of float64's roundoff
+# carries by a factor that does not depend on the precision. A float64 LIF
+# stage kept them within 1e-12, about 2^13 units of float64's roundoff
 # (2^-53), so the float32 stage is held to 2^13 units of float32's (2^-24).
 LEARNER_REL = 2.0 ** 13 * 2.0 ** -24
 

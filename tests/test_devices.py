@@ -28,36 +28,23 @@ def test_stream_split_invariance():
 
 @pytest.mark.parametrize("steps", [1, 77, 4096])
 def test_sample_steps_into_a_buffer_equals_a_fresh_draw(steps):
-    buf = np.full((4096, 9), np.nan)
-    pool = DevicePool(9, seed=31)
-    got = pool.sample_steps(steps, out=buf[:steps])
-    assert np.shares_memory(got, buf)
-    assert np.array_equal(got, DevicePool(9, seed=31).sample_steps(steps))
-    # the stream continues from the buffered draw as from a fresh one
-    fresh = DevicePool(9, seed=31)
-    fresh.sample_steps(steps)
-    assert np.array_equal(pool.sample_steps(5), fresh.sample_steps(5))
+    # the same states and generator position, buffered or not, and the pool
+    # keeps nothing between calls
+    buf = np.full((4096, 9), np.nan, np.float32)
+    pool, ref = DevicePool(9, seed=31), DevicePool(9, seed=31)
+    for k in (steps, 3, steps):
+        got = pool.sample_steps(k, out=buf[:k])
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, ref.sample_steps(k))
+        assert pool._rng.bit_generator.state == ref._rng.bit_generator.state
+    # the stream continues from the buffered draws as from fresh ones
+    assert np.array_equal(pool.sample_steps(5), ref.sample_steps(5))
+    assert vars(pool).keys() == {"count", "_rng"}
     with pytest.raises(ValueError, match="shape"):
         pool.sample_steps(steps, out=buf[:steps, :8])
 
 
-@pytest.mark.parametrize("steps", [1, 77, 4096])
-def test_float32_and_float64_out_take_the_same_words(steps):
-    # one word per state whatever the dtype, so the same states and the same
-    # generator position, and the pool keeps nothing between calls
-    pool, ref = DevicePool(9, seed=31), DevicePool(9, seed=31)
-    buf = np.full((4096, 9), np.nan, dtype=np.float32)
-    for k in (steps, 3, steps):
-        got = pool.sample_steps(k, out=buf[:k])
-        assert np.shares_memory(got, buf) and got.dtype == np.float32
-        assert np.array_equal(got, ref.sample_steps(k))
-        assert pool._rng.bit_generator.state == ref._rng.bit_generator.state
-    # and a float64 draw continues from there
-    assert np.array_equal(pool.sample_steps(5), ref.sample_steps(5))
-    assert vars(pool).keys() == {"count", "_rng"}
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dtype", [np.float32, None])  # None: a fresh array
 @pytest.mark.parametrize("count", [1, 7, 100])
 def test_sample_steps_is_the_uniform_stream_below_one_half(count, dtype):
     # each state is one generator word's top bit, which is exactly whether
@@ -66,13 +53,15 @@ def test_sample_steps_is_the_uniform_stream_below_one_half(count, dtype):
     # reference's uniforms leave it
     pool, ref = DevicePool(count, seed=2024), np.random.default_rng(2024)
     for steps in (1, 255, 256, 257):
-        got = pool.sample_steps(steps, out=np.full((steps, count), np.nan, dtype=dtype))
+        out = None if dtype is None else np.full((steps, count), np.nan, dtype=dtype)
+        got = pool.sample_steps(steps, out=out)
         want = np.where(ref.random(steps * count) < 0.5, 1, -1).reshape(steps, count)
+        assert got.dtype == np.float32
         assert np.array_equal(got, want)
         assert pool._rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("dtype", [np.float16, np.int8, np.int64, np.complex128])
+@pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int8, np.int64, np.complex128])
 def test_sample_steps_rejects_other_dtypes(dtype):
     pool = DevicePool(3, seed=1)
     with pytest.raises(ValueError, match="dtype"):

@@ -18,7 +18,7 @@ from neurocut import (
 )
 from neurocut.oracles import _ROUND_ROWS, ENUM_LIMIT
 
-from conftest import assert_pm_one
+from conftest import NOT_REAL, assert_pm_one
 
 
 def exhaustive_opt(g):
@@ -173,6 +173,13 @@ def test_sliced_rounds_equal_the_whole_batch_formula(count):
 def test_rounds_rejects_non_matrix():
     with pytest.raises(ValueError):
         reference_hyperplane_rounds(np.ones(3), 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_rounds_reject_vectors_that_are_not_real_numbers(kind):
+    vecs = NOT_REAL[kind](np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match=f"^vectors has dtype {vecs.dtype}, expected real numbers"):
+        reference_hyperplane_rounds(vecs, 5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("count, problem", [(2.5, "count = 2.5 must be an integer"),

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from neurocut import NumericalDivergenceError, OjaState
 from neurocut.plasticity import _SUB
 
+from conftest import NOT_REAL
+
 
 @pytest.mark.parametrize("field", ["eta0", "tau"])
 def test_state_rejects_nan_rates(field):
@@ -35,6 +37,25 @@ def test_state_rejects_a_start_it_cannot_learn_from(w):
     # start never moves
     with pytest.raises(ValueError, match="^w must be finite and not all zero"):
         OjaState(w)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_start_must_be_real_numbers(kind):
+    w = NOT_REAL[kind](np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match=f"^w has dtype {w.dtype}, expected real numbers"):
+        OjaState(w)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_inputs_must_be_real_numbers(kind):
+    # an input of ["1.0", "-1.0"] trained as ±1, True as 1, None as nan and
+    # 1+1j as 1 with only a ComplexWarning
+    state = OjaState([0.6, 0.8])
+    for x in (np.array([1.0, -1.0]), np.array([[1.0, -1.0], [-1.0, 1.0]])):
+        bad = NOT_REAL[kind](x)
+        with pytest.raises(ValueError, match=f"^x has dtype {bad.dtype}, expected real numbers"):
+            state.update(bad)
+    assert state.t == 0 and state.w.tolist() == [0.6, 0.8]
 
 
 def test_float32_block_updates_as_its_float64_values():
